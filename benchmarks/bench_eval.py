@@ -11,126 +11,20 @@ wall-clock for the serial, sharded-cold, and grown (prefix-reuse)
 sweeps, the shard count, the cache hit rate, and the prefix-reuse hit
 rate, giving future PRs a perf trajectory for the evaluation phase
 like BENCH_sim.json provides for simulation.
-
-The batched-forward arm (``test_batched_forward_throughput``) rides
-on the same file: serial vs ``forward_batch=8`` wall-clock on the
-large zoo config, the measured speedup against its no-regression
-gate, and the shape-bucket statistics of the batched sweep.
 """
 
 import json
-import os
 import time
-from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from repro.config import FocusConfig
-from repro.core.batched import bucket_samples
 from repro.engine import EvalJob, ExperimentEngine
 from repro.eval.eval_shards import EVAL_SHARD_KIND
-from repro.eval.runner import ModelCache, evaluate_samples
 from repro.model.zoo import VIDEO_MODELS
-from repro.workloads.datasets import make_dataset_span
 
 from conftest import bench_samples
 
 DATASET = "videomme"
 GRID_METHODS = ("dense", "focus")
 SHARD_WORKERS = 4
-
-LARGE_CONFIG = ("qwen25-vl", "videomme")
-FORWARD_BATCH = 8
-BATCH_BENCH_SAMPLES = 16
-"""Fixed, not ``REPRO_BENCH_SAMPLES``: the batched arm needs enough
-samples to fill ``FORWARD_BATCH``-wide stacks twice over."""
-BATCH_ROUNDS = 3
-BATCHED_SPEEDUP_GATE = 0.9
-"""Batching must not regress the serial loop beyond timer noise.
-
-The 2x aspiration assumes stacked GEMMs recover multi-core BLAS
-utilization that per-sample GEMMs leave idle; on a single-core host
-both paths hit the same BLAS floor, the matcher's gather traffic is
-identical by construction, and the measured gain is ~1.0-1.2x (batch
-plans amortize wavefront schedules and skip per-sample block copies).
-The recorded ``speedup`` tracks the real number per run; on hosts
-whose *measured* GEMM floor actually lifts under stacking
-(:class:`BlasMeasurement`), the gate rises to
-:data:`THREADED_SPEEDUP_GATE` — a >=1.0 wall-clock gate between two
-closely matched arms flaps on shared single-core runners, so the
-0.9x guard stays everywhere else."""
-
-THREADED_SPEEDUP_GATE = 1.1
-"""The raised gate on hosts where stacked GEMMs measurably beat
-looped ones: batching must then deliver a real win, not just parity."""
-
-PROBE_LIFT_THRESHOLD = 1.3
-"""Minimum stacked-over-looped GEMM probe speedup before a host
-counts as *threaded* for gating purposes — comfortably above timer
-noise, comfortably below any real multi-core BLAS win."""
-
-
-@dataclass(frozen=True)
-class BlasMeasurement:
-    """The host's measurement class for GEMM-bound benchmarks.
-
-    ``cores`` and ``blas_threads`` describe the configured ceiling
-    (CPU count clipped by the usual thread-cap environment
-    variables); ``probe_speedup`` is the *measured* stacked-vs-looped
-    GEMM ratio on a small fixed workload.  ``threaded`` — and with it
-    the raised batched-forward gate — requires both: a multi-thread
-    configuration *and* a probe that actually lifted, so a container
-    with inflated ``os.cpu_count()`` but a pinned single-core quota
-    still gets the single-core guard.
-    """
-
-    cores: int
-    blas_threads: int
-    probe_speedup: float
-    threaded: bool
-
-    @property
-    def speedup_gate(self) -> float:
-        return THREADED_SPEEDUP_GATE if self.threaded \
-            else BATCHED_SPEEDUP_GATE
-
-    @classmethod
-    def detect(cls) -> "BlasMeasurement":
-        cores = os.cpu_count() or 1
-        blas_threads = cores
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-            value = os.environ.get(var, "")
-            if value.isdigit() and int(value) >= 1:
-                blas_threads = min(blas_threads, int(value))
-        probe = cls._probe_stacking_lift()
-        threaded = (
-            blas_threads > 1 and probe >= PROBE_LIFT_THRESHOLD
-        )
-        return cls(
-            cores=cores, blas_threads=blas_threads,
-            probe_speedup=round(probe, 3), threaded=threaded,
-        )
-
-    @staticmethod
-    def _probe_stacking_lift(
-        batch: int = 16, dim: int = 96, rounds: int = 3
-    ) -> float:
-        """Best-of stacked-vs-looped GEMM wall ratio (>1 = lift)."""
-        rng = np.random.default_rng(0)
-        lhs = rng.standard_normal((batch, dim, dim))
-        rhs = rng.standard_normal((dim, dim))
-        stacked_lhs = lhs.reshape(batch * dim, dim)
-        looped = stacked = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for index in range(batch):
-                lhs[index] @ rhs
-            looped = min(looped, time.perf_counter() - start)
-            start = time.perf_counter()
-            stacked_lhs @ rhs
-            stacked = min(stacked, time.perf_counter() - start)
-        return looped / max(stacked, 1e-9)
 
 
 def _grid_jobs(samples):
@@ -235,83 +129,3 @@ def test_eval_sharding_parity_and_telemetry(benchmark, results_dir):
     sharded_engine.close()
     grown_engine.close()
 
-
-def test_batched_forward_throughput(benchmark, results_dir):
-    """The batched-forward acceptance arm: one wavefront pass per
-    eval-shard stack must be bit-identical to the serial loop and at
-    least the measurement class's gate (:data:`BATCHED_SPEEDUP_GATE`,
-    or :data:`THREADED_SPEEDUP_GATE` on hosts whose GEMM floor
-    measurably lifts under stacking) x its cell throughput on the
-    large zoo config."""
-    measurement = BlasMeasurement.detect()
-    model_name, dataset = LARGE_CONFIG
-    model = ModelCache.get(model_name)
-    samples = make_dataset_span(
-        dataset, model.config.layout, 0, BATCH_BENCH_SAMPLES, seed=0
-    )
-    buckets = bucket_samples(samples)
-
-    def cell(config):
-        return evaluate_samples(
-            model, samples, "focus", config=config,
-            model_name=model_name, dataset_name=dataset,
-        )
-
-    def best_of(config):
-        wall, result = float("inf"), None
-        for _ in range(BATCH_ROUNDS):
-            start = time.perf_counter()
-            result = cell(config)
-            wall = min(wall, time.perf_counter() - start)
-        return wall, result
-
-    serial_wall, serial_result = best_of(FocusConfig())
-    batched_config = FocusConfig(forward_batch=FORWARD_BATCH)
-    benchmark.pedantic(
-        lambda: cell(batched_config), rounds=1, iterations=1
-    )
-    batched_wall, batched_result = best_of(batched_config)
-
-    # The tentpole guarantee: stacking changes wall-clock only.
-    assert batched_result == serial_result
-
-    speedup = serial_wall / batched_wall
-    gate = measurement.speedup_gate
-    assert speedup >= gate, (
-        f"batched forward {speedup:.2f}x on {LARGE_CONFIG} fell below "
-        f"the {gate}x gate ({'threaded' if measurement.threaded else 'single-core'} "
-        f"measurement class: {measurement.blas_threads} BLAS threads, "
-        f"probe lift {measurement.probe_speedup}x)"
-    )
-    benchmark.extra_info["batched_speedup"] = round(speedup, 3)
-
-    results_path = results_dir / "BENCH_eval.json"
-    payload = (
-        json.loads(results_path.read_text())
-        if results_path.exists() else {}
-    )
-    payload["batched_forward"] = {
-        "model": model_name,
-        "dataset": dataset,
-        "method": "focus",
-        "samples": BATCH_BENCH_SAMPLES,
-        "batch_size": FORWARD_BATCH,
-        "rounds": BATCH_ROUNDS,
-        "serial_wall_s": round(serial_wall, 4),
-        "batched_wall_s": round(batched_wall, 4),
-        "speedup": round(speedup, 3),
-        "speedup_gate": gate,
-        "measurement": asdict(measurement),
-        "buckets": {
-            "count": len(buckets),
-            "sizes": sorted(
-                (len(bucket) for bucket in buckets), reverse=True
-            ),
-            "chunks": sum(
-                -(-len(bucket) // FORWARD_BATCH) for bucket in buckets
-            ),
-        },
-    }
-    results_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )

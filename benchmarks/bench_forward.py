@@ -11,12 +11,17 @@ records per-model wall-clock for both matcher implementations, the
 speedup, token counts, and matcher comparison counts, giving future
 PRs a perf trajectory for the forward hot path like BENCH_sim.json /
 BENCH_eval.json provide for the simulation and evaluation phases.
+
+The reference arm patches :meth:`SimilarityMatcher.match_tile` to the
+oracle :meth:`SimilarityMatcher.match_tile_reference` for its forwards;
+the program itself always runs the wavefront.
 """
 
 import json
 import time
 
 from repro.config import FocusConfig
+from repro.core.matching import SimilarityMatcher
 from repro.core.pipeline import FocusPlugin
 from repro.eval.runner import ModelCache
 from repro.model.zoo import MODEL_CONFIGS
@@ -37,19 +42,21 @@ ROUNDS = 3
 """Best-of-N timing; the minimum is robust against scheduler noise."""
 
 
-def _timed_forward(model, sample, mode):
-    """Best-of-ROUNDS wall clock and the last outcome for one mode."""
+def _timed_forward(model, sample):
+    """Best-of-ROUNDS wall clock and the last outcome of a Focus forward."""
     best = float("inf")
     outcome = None
     for _ in range(ROUNDS):
-        plugin = FocusPlugin(model, FocusConfig(matcher=mode))
+        plugin = FocusPlugin(model, FocusConfig())
         start = time.perf_counter()
         outcome = model.forward(sample, plugin)
         best = min(best, time.perf_counter() - start)
     return best, outcome
 
 
-def test_forward_wavefront_parity_and_speedup(benchmark, results_dir):
+def test_forward_wavefront_parity_and_speedup(
+    benchmark, results_dir, monkeypatch
+):
     entries = {}
     for name in MODEL_CONFIGS:
         model = ModelCache.get(name)
@@ -57,8 +64,13 @@ def test_forward_wavefront_parity_and_speedup(benchmark, results_dir):
         sample, = make_dataset_span(
             dataset, model.config.layout, 0, 1, seed=0
         )
-        ref_wall, ref_out = _timed_forward(model, sample, "reference")
-        wav_wall, wav_out = _timed_forward(model, sample, "wavefront")
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                SimilarityMatcher, "match_tile",
+                SimilarityMatcher.match_tile_reference,
+            )
+            ref_wall, ref_out = _timed_forward(model, sample)
+        wav_wall, wav_out = _timed_forward(model, sample)
 
         # The tentpole guarantee: the wavefront forward is bit-identical
         # to the serial reference — same prediction, same trace, every
@@ -91,7 +103,7 @@ def test_forward_wavefront_parity_and_speedup(benchmark, results_dir):
         sample, = make_dataset_span(
             large_dataset, model.config.layout, 0, 1, seed=0
         )
-        plugin = FocusPlugin(model, FocusConfig(matcher="wavefront"))
+        plugin = FocusPlugin(model, FocusConfig())
         return model.forward(sample, plugin)
 
     benchmark.pedantic(_one_wavefront_forward, rounds=1, iterations=1)

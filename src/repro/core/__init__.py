@@ -19,7 +19,6 @@ from repro.core.importance import (
 )
 from repro.core.layouter import BankAddress, ConvolutionLayouter
 from repro.core.matching import (
-    MATCHER_MODES,
     LevelGroup,
     MatchOutcome,
     SimilarityMatcher,
@@ -63,7 +62,6 @@ __all__ = [
     "importance_scores",
     "BankAddress",
     "ConvolutionLayouter",
-    "MATCHER_MODES",
     "LevelGroup",
     "MatchOutcome",
     "SimilarityMatcher",

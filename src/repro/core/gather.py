@@ -28,17 +28,12 @@ import numpy as np
 from repro.config import FocusConfig
 from repro.core.blocks import build_neighbor_table, comparisons_in_table
 from repro.core.matching import (
-    BatchLevelGroup,
     LevelGroup,
     SimilarityMatcher,
-    build_batch_schedule,
     build_level_groups,
 )
 
 __all__ = [
-    "BATCH_PLAN_CACHE_MAX_ENTRIES",
-    "BatchGatherResult",
-    "BatchTilePlan",
     "GatherResult",
     "SimilarityGather",
     "TABLE_CACHE_MAX_ENTRIES",
@@ -54,14 +49,6 @@ token set, so 64 comfortably covers every model in the zoo while
 keeping a long-lived gather (streaming service, benchmark loop) at
 bounded memory."""
 
-BATCH_PLAN_CACHE_MAX_ENTRIES = 16
-"""Upper bound on cached *batch* tile plans (stacked tables + merged
-wavefront schedules).  A batched pass sees at most a handful of
-distinct per-lane layout combinations (one per semantic-pruning
-event), so a small LRU covers a whole pass while keeping the larger
-stacked index arrays at bounded memory."""
-
-
 @dataclass
 class TilePlan:
     """Token-set-dependent (value-independent) state of one m-tile.
@@ -70,31 +57,11 @@ class TilePlan:
         table: ``(rows, n_offsets)`` local partner indices.
         schedule: :func:`~repro.core.matching.build_level_groups` of
             the table — the wavefront matcher's per-level index
-            structures, ready for batched matching.  ``None`` for a
-            reference-mode gather, which never reads them (keeping
-            the A/B arm's timings honest).
+            structures, ready for batched matching.
     """
 
     table: np.ndarray
-    schedule: tuple[LevelGroup, ...] | None
-
-
-@dataclass
-class BatchTilePlan:
-    """Stacked token-set-dependent state of one m-tile, per lane.
-
-    Attributes:
-        tables: ``(S, rows, n_offsets)`` per-lane partner tables
-            (stacked :attr:`TilePlan.table`; lanes may differ after
-            semantic pruning diverges their layouts).
-        schedule: Merged wavefront schedule
-            (:func:`~repro.core.matching.build_batch_schedule`), with
-            each level padded to the widest lane.  ``None`` in
-            reference mode.
-    """
-
-    tables: np.ndarray
-    schedule: tuple[BatchLevelGroup, ...] | None
+    schedule: tuple[LevelGroup, ...]
 
 
 @dataclass
@@ -134,23 +101,6 @@ class GatherResult:
         return self.total_vectors / self.unique_total
 
 
-@dataclass
-class BatchGatherResult:
-    """Outcome of gathering one GEMM input across a stack of samples.
-
-    Attributes:
-        x_approx: ``(S, tokens, k)`` concentrated inputs; slice ``s``
-            is bit-identical to the per-sample
-            :attr:`GatherResult.x_approx`.
-        per_sample: One :class:`GatherResult` per stack slice (each
-            ``x_approx`` a view into the stacked array), carrying the
-            exact statistics the serial gather would have produced.
-    """
-
-    x_approx: np.ndarray
-    per_sample: list[GatherResult]
-
-
 class SimilarityGather:
     """Tile-local vector deduplication engine."""
 
@@ -161,20 +111,15 @@ class SimilarityGather:
 
         Args:
             config: Focus hyper-parameters (tile size, block shape,
-                vector length, threshold, matcher implementation).
+                vector length, threshold).
             token_wise: When ``True``, compare whole tokens instead of
                 sub-vectors (the "Ours token-wise" ablation of
                 Fig. 2(c)).
         """
         self.config = config
         self.token_wise = token_wise
-        self.matcher = SimilarityMatcher(
-            config.similarity_threshold, mode=config.matcher
-        )
+        self.matcher = SimilarityMatcher(config.similarity_threshold)
         self._table_cache: OrderedDict[tuple, TilePlan] = OrderedDict()
-        self._batch_plan_cache: OrderedDict[tuple, BatchTilePlan] = (
-            OrderedDict()
-        )
         self._current_cache_token: object | None = None
 
     def _neighbor_table(
@@ -197,7 +142,6 @@ class SimilarityGather:
         grid: tuple[int, int, int],
         tile: tuple[int, int],
         cache_token: object | None,
-        evict_stale: bool = True,
     ) -> TilePlan:
         """Partner table + wavefront levels for the rows of one tile.
 
@@ -209,12 +153,6 @@ class SimilarityGather:
         :data:`TABLE_CACHE_MAX_ENTRIES` guards against pathological
         token churn, so memory stays flat across arbitrarily many
         samples.
-
-        ``evict_stale=False`` switches to pure LRU: batched gathers
-        interleave content-addressed layout tokens (one per lane
-        group) within a single pass, so "token changed" no longer
-        means "older tokens are dead" — evicting on change would
-        rebuild every plan at every site.
         """
         key = (cache_token, tile)
         if cache_token is not None and key in self._table_cache:
@@ -236,14 +174,10 @@ class SimilarityGather:
             remap = image_local  # local-image index -> tile-row index
             expanded = np.where(image_table >= 0, remap[image_table], -1)
             table[image_local, : expanded.shape[1]] = expanded
-        schedule = (
-            build_level_groups(table)
-            if self.matcher.mode == "wavefront" else None
-        )
-        plan = TilePlan(table=table, schedule=schedule)
+        plan = TilePlan(table=table, schedule=build_level_groups(table))
 
         if cache_token is not None:
-            if evict_stale and cache_token != self._current_cache_token:
+            if cache_token != self._current_cache_token:
                 stale = [
                     k for k in self._table_cache if k[0] != cache_token
                 ]
@@ -254,39 +188,6 @@ class SimilarityGather:
             while len(self._table_cache) > TABLE_CACHE_MAX_ENTRIES:
                 self._table_cache.popitem(last=False)
         return plan
-
-    def _batch_tile_plan(
-        self,
-        plans: list[TilePlan],
-        batch_key: tuple | None,
-        tile: tuple[int, int],
-    ) -> BatchTilePlan:
-        """Stacked tables + merged wavefront schedule for one tile.
-
-        ``batch_key`` is the tuple of per-lane cache tokens (or
-        ``None`` when any lane is uncacheable).  Keyed on
-        ``(batch_key, tile)`` under pure LRU — one batched pass only
-        ever sees a handful of layout combinations, so the merged
-        schedules are built once per combination, not once per site.
-        """
-        key = None if batch_key is None else (batch_key, tile)
-        if key is not None and key in self._batch_plan_cache:
-            self._batch_plan_cache.move_to_end(key)
-            return self._batch_plan_cache[key]
-
-        tables = np.stack([plan.table for plan in plans])
-        schedule = (
-            build_batch_schedule(
-                tables, tuple(plan.schedule for plan in plans)
-            )
-            if self.matcher.mode == "wavefront" else None
-        )
-        batch_plan = BatchTilePlan(tables=tables, schedule=schedule)
-        if key is not None:
-            self._batch_plan_cache[key] = batch_plan
-            while len(self._batch_plan_cache) > BATCH_PLAN_CACHE_MAX_ENTRIES:
-                self._batch_plan_cache.popitem(last=False)
-        return batch_plan
 
     def _block(self) -> tuple[int, int, int]:
         cfg = self.config
@@ -382,136 +283,3 @@ class SimilarityGather:
             map_bits=map_bits,
             comparisons=comparisons,
         )
-
-    def gather_batch(
-        self,
-        x_stack: np.ndarray,
-        positions: "np.ndarray | list[np.ndarray]",
-        is_text: "np.ndarray | list[np.ndarray]",
-        grid: tuple[int, int, int],
-        cache_token: "object | list | tuple | None" = None,
-    ) -> BatchGatherResult:
-        """Concentrate one GEMM input across a stack of samples.
-
-        ``x_stack`` is ``(S, tokens, k)`` — the inputs of ``S`` samples
-        stacked along a leading axis.  ``positions``/``is_text`` may be
-        single shared arrays (all lanes on one layout) or per-lane
-        sequences: lanes whose layouts diverged after semantic pruning
-        still run as *one* stacked pass, because
-        :meth:`~repro.core.matching.SimilarityMatcher.match_tile_batch`
-        takes the stacked per-lane tables and a merged, padded
-        wavefront schedule.  Per-sample slices of the result — values
-        and statistics — are bit-identical to :meth:`gather` on each
-        slice with its own layout.
-
-        ``cache_token`` (one token, or a per-lane sequence) should be
-        *content-addressed* layout keys (batched callers pass layout
-        digests), because layouts interleave within one pass; plans
-        are kept under pure LRU rather than stale-token eviction.
-        """
-        x_stack = np.asarray(x_stack, dtype=np.float32)
-        num_samples, num_rows, k = x_stack.shape
-        if isinstance(positions, np.ndarray) and positions.ndim == 2:
-            lane_positions = [np.asarray(positions)] * num_samples
-        else:
-            lane_positions = [np.asarray(p) for p in positions]
-        if isinstance(is_text, np.ndarray) and is_text.ndim == 1:
-            lane_text = [np.asarray(is_text, dtype=bool)] * num_samples
-        else:
-            lane_text = [np.asarray(t, dtype=bool) for t in is_text]
-        if isinstance(cache_token, (list, tuple)):
-            lane_tokens = list(cache_token)
-        else:
-            lane_tokens = [cache_token] * num_samples
-        if not (
-            len(lane_positions) == len(lane_text) == len(lane_tokens)
-            == num_samples
-        ):
-            raise ValueError("per-lane layouts must cover every sample")
-        for pos, text in zip(lane_positions, lane_text):
-            if pos.shape[:1] != (num_rows,) or text.shape != (num_rows,):
-                raise ValueError(
-                    "positions and is_text must cover every row of x"
-                )
-        batch_key = (
-            tuple(lane_tokens) if all(
-                token is not None for token in lane_tokens
-            ) else None
-        )
-        vector_size = k if self.token_wise else min(self.config.vector_size, k)
-        # Zero-pad and split every sample at once; each slice matches
-        # split_blocks on that sample (same pad, same copy).  When k
-        # divides evenly there is no padding, so the reshape is a
-        # copy-free view with the very same values.
-        v = vector_size if vector_size > 0 else k
-        v = min(v, k)
-        num_blocks = -(-k // v)
-        if num_blocks * v == k:
-            blocks = x_stack.reshape(num_samples, num_rows, num_blocks, v)
-        else:
-            padded = np.zeros(
-                (num_samples, num_rows, num_blocks * v), dtype=np.float32
-            )
-            padded[:, :, :k] = x_stack
-            blocks = padded.reshape(num_samples, num_rows, num_blocks, v)
-        # The norm reduces over the contiguous v axis row by row, so
-        # the stacked reduction equals each sample's own.
-        norms = np.linalg.norm(blocks, axis=3)
-
-        reps_global = np.tile(
-            np.arange(num_rows, dtype=np.int64),
-            (num_samples, num_blocks, 1),
-        )
-        tile_lengths: list[list[int]] = [[] for _ in range(num_samples)]
-        tile_rows: list[list[int]] = [[] for _ in range(num_samples)]
-        comparisons = np.zeros(num_samples, dtype=np.int64)
-        m_tile = self.config.m_tile
-        for start in range(0, num_rows, m_tile):
-            stop = min(start + m_tile, num_rows)
-            plans = [
-                self._tile_plan(
-                    lane_positions[s], lane_text[s], grid, (start, stop),
-                    lane_tokens[s], evict_stale=False,
-                )
-                for s in range(num_samples)
-            ]
-            batch_plan = self._batch_tile_plan(plans, batch_key, (start, stop))
-            outcome = self.matcher.match_tile_batch(
-                blocks[:, start:stop], batch_plan.tables,
-                norms=norms[:, start:stop], schedule=batch_plan.schedule,
-            )
-            reps_global[:, :, start:stop] = outcome.reps + start
-            counts = outcome.unique_counts()            # (S, B)
-            for s in range(num_samples):
-                tile_lengths[s].extend(int(c) for c in counts[s])
-                tile_rows[s].extend([stop - start] * counts.shape[1])
-            comparisons += outcome.comparisons
-
-        total_vectors = num_rows * num_blocks
-        map_bits = total_vectors * max(
-            1, int(np.ceil(np.log2(max(2, min(m_tile, num_rows)))))
-        )
-
-        col_block = np.repeat(np.arange(num_blocks), vector_size)[:k]
-        row_pick = reps_global[:, col_block, :].transpose(0, 2, 1)
-        x_approx = x_stack[
-            np.arange(num_samples)[:, None, None],
-            row_pick,
-            np.arange(k)[None, None, :],
-        ]
-
-        per_sample = [
-            GatherResult(
-                x_approx=x_approx[s],
-                reps=reps_global[s],
-                vector_size=vector_size,
-                unique_total=sum(tile_lengths[s]),
-                total_vectors=total_vectors,
-                tile_lengths=tile_lengths[s],
-                tile_rows=tile_rows[s],
-                map_bits=map_bits,
-                comparisons=int(comparisons[s]),
-            )
-            for s in range(num_samples)
-        ]
-        return BatchGatherResult(x_approx=x_approx, per_sample=per_sample)

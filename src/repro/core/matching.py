@@ -12,18 +12,20 @@ Two implementations share this contract:
 
 * :meth:`SimilarityMatcher.match_tile_reference` — the original
   row-at-a-time streaming loop.  It is the semantic oracle: one row at
-  a time, one batched comparison against that row's partners.
-* :meth:`SimilarityMatcher.match_tile_wavefront` — a level-scheduled
-  (wavefront) formulation of the *same* recurrence.  Every partner
-  index precedes its key, so the rows of a tile form a DAG; a row is
-  schedulable as soon as all of its partners' representatives are
-  finalized.  Grouping rows into dependency levels
-  (:func:`partner_levels`) lets each level resolve with one batched
-  gather and one batched dot-product/threshold pass.  Rows within a
-  level never reference each other (a partner's level is strictly
-  lower), so the wavefront result is bit-identical to the serial
-  oracle for every tile, threshold, and block shape — the property
-  ``tests/test_matcher_wavefront.py`` locks in differentially.
+  a time, one batched comparison against that row's partners.  Only
+  tests and benchmarks call it.
+* :meth:`SimilarityMatcher.match_tile` — a level-scheduled
+  (wavefront) formulation of the *same* recurrence, and the one the
+  forward pass runs.  Every partner index precedes its key, so the
+  rows of a tile form a DAG; a row is schedulable as soon as all of
+  its partners' representatives are finalized.  Grouping rows into
+  dependency levels (:func:`partner_levels`) lets each level resolve
+  with one batched gather and one batched dot-product/threshold pass.
+  Rows within a level never reference each other (a partner's level
+  is strictly lower), so the wavefront result is bit-identical to the
+  serial oracle for every tile, threshold, and block shape — the
+  property ``tests/test_matcher_wavefront.py`` locks in
+  differentially.
 
 L2 norms are precomputed once per token, so each comparison costs a
 single ``v``-wide dot product plus a few scalar ops, matching the
@@ -38,10 +40,6 @@ import numpy as np
 
 NORM_EPS = 1e-6
 """Vectors with L2 norm below this are treated as exact zeros."""
-
-MATCHER_MODES = ("wavefront", "reference")
-"""Available matcher implementations; ``wavefront`` is the default."""
-
 
 def partner_levels(neighbor_table: np.ndarray) -> np.ndarray:
     """Dependency level of every row of a neighbor table.
@@ -164,106 +162,6 @@ class MatchOutcome:
         return (self.reps == own[None, :]).sum(axis=1)
 
 
-@dataclass
-class BatchMatchOutcome:
-    """Result of matching one tile across a stack of samples.
-
-    Attributes:
-        reps: Integer array of shape ``(S, num_blocks, n)``; slice
-            ``[s]`` is bit-identical to the ``reps`` of a per-sample
-            :class:`MatchOutcome` for sample ``s``.
-        comparisons: ``(S,)`` pairwise vector comparisons per sample
-            (a pure function of each sample's neighbor table).
-    """
-
-    reps: np.ndarray
-    comparisons: np.ndarray
-
-    def unique_counts(self) -> np.ndarray:
-        """Per-sample unique-vector count per k-block, ``(S, B)``."""
-        n = self.reps.shape[2]
-        own = np.arange(n)
-        return (self.reps == own[None, None, :]).sum(axis=2)
-
-
-@dataclass
-class BatchLevelGroup:
-    """One wavefront level of a *stack* of (possibly different) tables.
-
-    The per-sample levels are padded to the widest sample: padded row
-    slots carry row 0 with every partner masked invalid, so they can
-    never match (all similarities are ``-inf``) and never scatter.
-
-    Attributes:
-        rows: ``(S, r)`` row indices resolved at this level (0 where
-            padded).
-        valid4: ``(S, r, m, 1)`` present-partner mask (``False``
-            everywhere on padded row slots).
-        safe: ``(S, r, m)`` partner indices with absent ones clamped
-            to 0.
-        row_index: ``(1, r, 1)`` arange, for the per-row argmax pick.
-    """
-
-    rows: np.ndarray
-    valid4: np.ndarray
-    safe: np.ndarray
-    row_index: np.ndarray
-
-
-def build_batch_schedule(
-    tables: np.ndarray,
-    per_sample: "tuple[tuple[LevelGroup, ...], ...] | None" = None,
-) -> tuple[BatchLevelGroup, ...]:
-    """Merge per-sample wavefront schedules into padded stack levels.
-
-    Args:
-        tables: ``(S, n, m)`` stacked neighbor tables.
-        per_sample: Optional precomputed :func:`build_level_groups`
-            output per sample (e.g. from cached tile plans); computed
-            on the fly otherwise.
-
-    A sample's level-``l`` rows land in stack level ``l`` regardless
-    of the other samples, so every row still resolves strictly after
-    all of its own partners — the per-sample recurrence is untouched
-    and each slice stays bit-identical to its own serial pass.
-    """
-    tables = np.asarray(tables, dtype=np.int64)
-    num_samples, _, m = tables.shape
-    if per_sample is None:
-        per_sample = tuple(
-            build_level_groups(tables[s]) for s in range(num_samples)
-        )
-    depth = max((len(groups) for groups in per_sample), default=0)
-    if depth == 0:
-        return ()
-    merged = []
-    empty = np.empty(0, dtype=np.int64)
-    for level in range(depth):
-        lane_rows = [
-            groups[level].rows if level < len(groups) else empty
-            for groups in per_sample
-        ]
-        width = max(r.size for r in lane_rows)
-        rows = np.zeros((num_samples, width), dtype=np.int64)
-        valid = np.zeros((num_samples, width, m), dtype=bool)
-        safe = np.zeros((num_samples, width, m), dtype=np.int64)
-        for index, r in enumerate(lane_rows):
-            if r.size == 0:
-                continue
-            rows[index, : r.size] = r
-            tab = tables[index][r]
-            tab_valid = tab >= 0
-            valid[index, : r.size] = tab_valid
-            safe[index, : r.size] = np.where(tab_valid, tab, 0)
-        merged.append(BatchLevelGroup(
-            rows=rows,
-            valid4=valid[:, :, :, None],
-            safe=safe,
-            row_index=np.arange(width, dtype=np.int64)[None, :, None],
-        ))
-    return tuple(merged)
-
-
 def _validate_tile(table: np.ndarray, n: int) -> None:
     """One vectorized pre-check per tile (not per row): the table must
     cover the tile and every partner must precede its key."""
@@ -276,15 +174,10 @@ def _validate_tile(table: np.ndarray, n: int) -> None:
 class SimilarityMatcher:
     """Streaming cosine matcher over padded k-block vectors."""
 
-    def __init__(self, threshold: float, mode: str = "wavefront") -> None:
+    def __init__(self, threshold: float) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must lie in (0, 1]")
-        if mode not in MATCHER_MODES:
-            raise ValueError(
-                f"unknown matcher mode {mode!r}; available: {MATCHER_MODES}"
-            )
         self.threshold = threshold
-        self.mode = mode
 
     @staticmethod
     def split_blocks(x: np.ndarray, vector_size: int) -> np.ndarray:
@@ -310,7 +203,17 @@ class SimilarityMatcher:
         norms: np.ndarray | None = None,
         schedule: "tuple[LevelGroup, ...] | None" = None,
     ) -> MatchOutcome:
-        """Run the configured matcher implementation over one tile.
+        """Level-scheduled (wavefront) match of one tile.
+
+        Rows are grouped by dependency level; all rows of one level
+        resolve in a single batched gather + dot-product/threshold
+        pass.  Per-row float operations (dot products over the
+        contiguous ``v`` axis, norm products, threshold comparisons,
+        first-maximum argmax over a row's partners in table order) are
+        the very same elementwise kernels the serial loop of
+        :meth:`match_tile_reference` runs, so the representatives agree
+        bit for bit while the Python-level iteration count drops from
+        ``n`` to the DAG depth.
 
         Args:
             blocks: ``(n, B, v)`` zero-padded vectors (see
@@ -320,90 +223,15 @@ class SimilarityMatcher:
                 :func:`repro.core.blocks.build_neighbor_table`); every
                 valid partner index is smaller than the key index.
             levels: Optional precomputed :func:`partner_levels` of the
-                table (wavefront only; computed on the fly otherwise).
+                table (computed on the fly otherwise).
             norms: Optional precomputed ``(n, B)`` L2 norms of
                 ``blocks`` — callers gathering many tiles compute them
                 once for the whole matrix and pass slices.
             schedule: Optional precomputed :func:`build_level_groups`
-                output for the table (wavefront only).
+                output for the table.
 
         Returns:
             Representative assignments and comparison count.
-        """
-        if self.mode == "reference":
-            return self.match_tile_reference(blocks, neighbor_table, norms)
-        return self.match_tile_wavefront(
-            blocks, neighbor_table, levels, norms, schedule
-        )
-
-    def match_tile_reference(
-        self,
-        blocks: np.ndarray,
-        neighbor_table: np.ndarray,
-        norms: np.ndarray | None = None,
-    ) -> MatchOutcome:
-        """The retained row-at-a-time oracle (original serial matcher)."""
-        blocks = np.asarray(blocks, dtype=np.float32)
-        n, num_blocks, _ = blocks.shape
-        table = np.asarray(neighbor_table, dtype=np.int64)
-        _validate_tile(table, n)
-
-        if norms is None:
-            norms = np.linalg.norm(blocks, axis=2)
-        reps = np.tile(np.arange(n, dtype=np.int64), (num_blocks, 1))
-        block_range = np.arange(num_blocks)
-        comparisons = 0
-
-        for i in range(n):
-            partners = table[i][table[i] >= 0]
-            if partners.size == 0:
-                continue
-            # Stored values: each partner's vector was possibly replaced
-            # by its representative; compare against what the compact
-            # buffer actually holds.
-            partner_reps = reps[:, partners].T          # (m, B)
-            stored = blocks[partner_reps, block_range[None, :], :]  # (m, B, v)
-            stored_norms = norms[partner_reps, block_range[None, :]]
-            dots = np.einsum("mbv,bv->mb", stored, blocks[i])
-            denom = stored_norms * norms[i][None, :]
-            sims = np.where(
-                denom > NORM_EPS * NORM_EPS,
-                dots / np.maximum(denom, NORM_EPS * NORM_EPS),
-                # Two exact-zero vectors are identical; a zero against a
-                # non-zero is maximally dissimilar.
-                np.where(
-                    (stored_norms < NORM_EPS) & (norms[i][None, :] < NORM_EPS),
-                    1.0,
-                    0.0,
-                ),
-            )
-            comparisons += int(sims.size)
-            best = np.argmax(sims, axis=0)
-            best_sims = sims[best, block_range]
-            matched = best_sims > self.threshold
-            if matched.any():
-                chosen = partner_reps[best, block_range]
-                reps[matched, i] = chosen[matched]
-        return MatchOutcome(reps=reps, comparisons=comparisons)
-
-    def match_tile_wavefront(
-        self,
-        blocks: np.ndarray,
-        neighbor_table: np.ndarray,
-        levels: np.ndarray | None = None,
-        norms: np.ndarray | None = None,
-        schedule: "tuple[LevelGroup, ...] | None" = None,
-    ) -> MatchOutcome:
-        """Level-scheduled matcher, bit-identical to the reference.
-
-        Rows are grouped by dependency level; all rows of one level
-        resolve in a single batched gather + dot-product/threshold
-        pass.  Per-row float operations (dot products over the
-        contiguous ``v`` axis, norm products, threshold comparisons,
-        first-maximum argmax over a row's partners in table order) are
-        the very same elementwise kernels the serial loop runs, so the
-        representatives agree bit for bit while the Python-level
-        iteration count drops from ``n`` to the DAG depth.
         """
         blocks = np.asarray(blocks, dtype=np.float32)
         n, num_blocks, _ = blocks.shape
@@ -476,135 +304,59 @@ class SimilarityMatcher:
                 reps[bi, rows[ri]] = chosen[ri, bi]
         return MatchOutcome(reps=reps, comparisons=comparisons)
 
-    def match_tile_batch(
+    def match_tile_reference(
         self,
         blocks: np.ndarray,
         neighbor_table: np.ndarray,
+        levels: np.ndarray | None = None,
         norms: np.ndarray | None = None,
-        schedule: "tuple[BatchLevelGroup, ...] | None" = None,
-    ) -> BatchMatchOutcome:
-        """Match one tile across a stack of samples in one pass.
+        schedule: "tuple[LevelGroup, ...] | None" = None,
+    ) -> MatchOutcome:
+        """The retained row-at-a-time oracle (original serial matcher).
 
-        ``blocks`` is ``(S, n, B, v)`` — the per-sample ``(n, B, v)``
-        tiles of :meth:`match_tile` stacked along a leading sample
-        axis.  ``neighbor_table`` is either one shared ``(n, m)``
-        table or a stacked ``(S, n, m)`` array with a *different*
-        table per sample (the post-pruning case, where lanes of one
-        batch have diverged layouts).  The merged wavefront schedule
-        (:func:`build_batch_schedule`) pads each level to the widest
-        sample, so every level still resolves with a single gather +
-        dot/threshold pass over the whole stack.  Per-element float
-        kernels (the ``v``-axis einsum reduction, norm products,
-        threshold compares, first-maximum argmax over the partner
-        axis) are the same ones the per-sample matcher runs on each
-        slice, so slice ``s`` of the result is bit-identical to
-        ``match_tile(blocks[s], tables[s])`` — the property
-        ``tests/test_batched_forward.py`` locks in differentially.
-
-        In ``reference`` mode the stack simply loops through the
-        per-sample oracle (the A/B arm stays honest).
+        Takes :meth:`match_tile`'s arguments so tests and benchmarks
+        can patch it in place of the wavefront; ``levels`` and
+        ``schedule`` are ignored.
         """
         blocks = np.asarray(blocks, dtype=np.float32)
-        num_samples, n, num_blocks, _ = blocks.shape
-        tables = np.asarray(neighbor_table, dtype=np.int64)
-        if tables.ndim == 2:
-            _validate_tile(tables, n)
-            tables = np.broadcast_to(
-                tables, (num_samples,) + tables.shape
-            )
-        else:
-            if tables.shape[0] != num_samples or tables.shape[1] != n:
-                raise ValueError("stacked tables do not cover the stack")
-            if tables.size and (
-                tables >= np.arange(n)[None, :, None]
-            ).any():
-                raise ValueError("partner indices must precede the key")
-        if norms is None:
-            norms = np.linalg.norm(blocks, axis=3)
+        n, num_blocks, _ = blocks.shape
+        table = np.asarray(neighbor_table, dtype=np.int64)
+        _validate_tile(table, n)
 
-        if self.mode == "reference":
-            outcomes = [
-                self.match_tile_reference(blocks[s], tables[s], norms=norms[s])
-                for s in range(num_samples)
-            ]
-            return BatchMatchOutcome(
-                reps=np.stack([o.reps for o in outcomes]) if outcomes
-                else np.empty((0, num_blocks, n), dtype=np.int64),
-                comparisons=np.array(
-                    [o.comparisons for o in outcomes], dtype=np.int64
+        if norms is None:
+            norms = np.linalg.norm(blocks, axis=2)
+        reps = np.tile(np.arange(n, dtype=np.int64), (num_blocks, 1))
+        block_range = np.arange(num_blocks)
+        comparisons = 0
+
+        for i in range(n):
+            partners = table[i][table[i] >= 0]
+            if partners.size == 0:
+                continue
+            # Stored values: each partner's vector was possibly replaced
+            # by its representative; compare against what the compact
+            # buffer actually holds.
+            partner_reps = reps[:, partners].T          # (m, B)
+            stored = blocks[partner_reps, block_range[None, :], :]  # (m, B, v)
+            stored_norms = norms[partner_reps, block_range[None, :]]
+            dots = np.einsum("mbv,bv->mb", stored, blocks[i])
+            denom = stored_norms * norms[i][None, :]
+            sims = np.where(
+                denom > NORM_EPS * NORM_EPS,
+                dots / np.maximum(denom, NORM_EPS * NORM_EPS),
+                # Two exact-zero vectors are identical; a zero against a
+                # non-zero is maximally dissimilar.
+                np.where(
+                    (stored_norms < NORM_EPS) & (norms[i][None, :] < NORM_EPS),
+                    1.0,
+                    0.0,
                 ),
             )
-
-        reps = np.tile(
-            np.arange(n, dtype=np.int64), (num_samples, num_blocks, 1)
-        )
-        comparisons = (
-            np.count_nonzero(tables >= 0, axis=(1, 2)) * num_blocks
-        ).astype(np.int64)
-        if n == 0 or tables.shape[2] == 0:
-            return BatchMatchOutcome(reps=reps, comparisons=comparisons)
-        if schedule is None:
-            schedule = build_batch_schedule(tables)
-        eps_sq = NORM_EPS * NORM_EPS
-        # The zero-norm branch must agree with each sample's *own*
-        # serial pass.  When no sample holds a sub-epsilon vector the
-        # short where is bit-identical to the full chain (see
-        # match_tile_wavefront); when any sample does, the full chain
-        # runs for the whole stack — still bit-identical for the
-        # zero-free slices, by the same argument.
-        any_zero = bool((norms < NORM_EPS).any())
-        reps_rows = reps.transpose(0, 2, 1)             # (S, n, B) view
-        sample_idx2 = np.arange(num_samples)[:, None]
-        sample_idx3 = np.arange(num_samples)[:, None, None]
-        sample_idx4 = np.arange(num_samples)[:, None, None, None]
-        block_range4 = np.arange(num_blocks)[None, None, None, :]
-        block_range_row3 = np.arange(num_blocks)[None, None, :]
-
-        for group in schedule:
-            rows = group.rows                           # (S, r)
-            partner_reps = reps_rows[sample_idx3, group.safe]  # (S,r,m,B)
-            stored = blocks[
-                sample_idx4, partner_reps, block_range4, :
-            ]                                           # (S, r, m, B, v)
-            stored_norms = norms[sample_idx4, partner_reps, block_range4]
-            key_norms = norms[sample_idx2, rows][:, :, None, :]
-            keys = blocks[sample_idx2, rows]            # (S, r, B, v)
-            dots = np.einsum("srmbv,srbv->srmb", stored, keys)
-            denom = stored_norms * key_norms
-            if any_zero:
-                sims = np.where(
-                    denom > eps_sq,
-                    dots / np.maximum(denom, eps_sq),
-                    np.where(
-                        (stored_norms < NORM_EPS) & (key_norms < NORM_EPS),
-                        1.0,
-                        0.0,
-                    ),
-                )
-                sims = np.where(group.valid4, sims, -np.inf)
-            else:
-                # One masked divide instead of divide + two where
-                # passes: valid slots with denom > eps get the very
-                # same float32 quotient (stored widened to float64,
-                # exactly as the old where-select cast it); valid
-                # slots below eps keep the pre-filled 0.0; invalid
-                # (and padded) slots keep -inf, so their best sim can
-                # never pass the threshold below.
-                sims = np.broadcast_to(
-                    np.where(group.valid4, 0.0, -np.inf), dots.shape
-                ).copy()
-                np.divide(
-                    dots, denom, out=sims,
-                    where=group.valid4 & (denom > eps_sq),
-                )
-            best = np.argmax(sims, axis=2)              # (S, r, B)
-            row_index3 = group.row_index                # (1, r, 1)
-            best_sims = sims[sample_idx3, row_index3, best, block_range_row3]
-            matched = best_sims > self.threshold        # (S, r, B)
+            comparisons += int(sims.size)
+            best = np.argmax(sims, axis=0)
+            best_sims = sims[best, block_range]
+            matched = best_sims > self.threshold
             if matched.any():
-                chosen = partner_reps[
-                    sample_idx3, row_index3, best, block_range_row3
-                ]
-                si, ri, bi = np.nonzero(matched)
-                reps[si, bi, rows[si, ri]] = chosen[si, ri, bi]
-        return BatchMatchOutcome(reps=reps, comparisons=comparisons)
+                chosen = partner_reps[best, block_range]
+                reps[matched, i] = chosen[matched]
+        return MatchOutcome(reps=reps, comparisons=comparisons)

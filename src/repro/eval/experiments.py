@@ -32,7 +32,7 @@ from repro.accel.scaling import PAPER_IMAGE_TOKENS, PAPER_TEXT_TOKENS, scale_to_
 from repro.accel.simulator import SimResult, simulate_many
 from repro.accel.systolic import tile_utilization
 from repro.baselines.gpu import JETSON_ORIN_NANO, simulate_gpu
-from repro.config import DEFAULT_CONFIG, FocusConfig
+from repro.config import DEFAULT_CONFIG
 from repro.engine.jobs import EvalJob
 from repro.engine.registry import ExperimentPlan, register, run_plan
 from repro.engine.scheduler import ExperimentEngine
@@ -44,30 +44,6 @@ IMAGE_DATASETS = ("vqav2", "mme", "mmbench")
 TABLE2_METHODS = ("dense", "framefusion", "adaptiv", "cmc", "focus")
 
 Results = Mapping[EvalJob, Any]
-
-
-def _base_config(
-    matcher: str | None = None,
-    forward_batch: int | None = None,
-    **overrides: object,
-) -> FocusConfig:
-    """Per-experiment :class:`FocusConfig` derived from the default.
-
-    ``matcher`` is the CLI-level A/B escape hatch (``--matcher``):
-    ``None`` keeps the config default (wavefront), ``"reference"``
-    re-runs the experiment on the retained serial matcher.  Every plan
-    factory accepts it so one flag switches an entire schedule.
-    ``forward_batch`` is the same escape hatch for ``--forward-batch``:
-    ``None`` keeps the config default (serial, batch size 1); larger
-    values stack same-shape samples into one tensorized pass.
-    """
-    if matcher is not None:
-        overrides["matcher"] = matcher
-    if forward_batch is not None:
-        overrides["forward_batch"] = forward_batch
-    if not overrides:
-        return DEFAULT_CONFIG
-    return DEFAULT_CONFIG.with_overrides(**overrides)
 
 
 def _paper_scale_sim(
@@ -130,14 +106,12 @@ def plan_table2(
     methods: tuple[str, ...] = TABLE2_METHODS,
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table II: accuracy and sparsity of all methods."""
     jobs = tuple(
         EvalJob(model=model, dataset=dataset, method=method,
                 num_samples=num_samples, seed=seed,
-                config=_base_config(matcher, forward_batch))
+                config=DEFAULT_CONFIG)
         for model in models
         for dataset in datasets
         for method in methods
@@ -184,8 +158,7 @@ _TABLE3_ARCHS = (
 
 @register("table3", "architecture config comparison (Table III)")
 def plan_table3(
-    num_samples: int = 2, seed: int = 0, matcher: str | None = None,
-    forward_batch: int | None = None,
+    num_samples: int = 2, seed: int = 0,
 ) -> ExperimentPlan:
     """Reproduce Table III: per-architecture config, area and power.
 
@@ -195,7 +168,7 @@ def plan_table3(
     jobs = {
         method: EvalJob(model="llava-video", dataset="videomme",
                         method=method, num_samples=num_samples, seed=seed,
-                        config=_base_config(matcher, forward_batch))
+                        config=DEFAULT_CONFIG)
         for _, method in _TABLE3_ARCHS
     }
 
@@ -243,8 +216,6 @@ def plan_table4(
     datasets: tuple[str, ...] = VIDEO_DATASETS,
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table IV: INT8 impact on accuracy and sparsity.
 
@@ -259,7 +230,7 @@ def plan_table4(
         (model, dataset, method, quant): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed, quantized=quant,
-            config=_base_config(matcher, forward_batch),
+            config=DEFAULT_CONFIG,
         )
         for model in models
         for dataset in datasets
@@ -312,8 +283,6 @@ def plan_table5(
     datasets: tuple[str, ...] = IMAGE_DATASETS,
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table V: single-image VLMs (one-frame videos)."""
     target_tokens = PAPER_IMAGE_TOKENS + PAPER_TEXT_TOKENS
@@ -322,7 +291,7 @@ def plan_table5(
         (model, dataset, method): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed,
-            config=_base_config(matcher, forward_batch),
+            config=DEFAULT_CONFIG,
         )
         for model in models
         for dataset in datasets
@@ -383,8 +352,6 @@ def plan_fig2b(
     vector_sizes: tuple[int, ...] = (8, 16, 32, 64, 96, 192),
     num_samples: int = 3,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 2(b): finer vectors expose more redundancy.
 
@@ -396,7 +363,7 @@ def plan_fig2b(
     job = EvalJob(
         model=model_name, dataset=dataset, method="similarity-capture",
         num_samples=num_samples, seed=seed, kind="fig2b",
-        config=_base_config(matcher, forward_batch),
+        config=DEFAULT_CONFIG,
         extra=(("vector_sizes", tuple(vector_sizes)),
                ("threshold", threshold)),
         provider="repro.eval.similarity_stats",
@@ -432,15 +399,13 @@ def plan_fig2c(
     dataset: str = "videomme",
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 2(c): vector-wise beats token-wise and baselines."""
     methods = ("dense", "cmc", "adaptiv", "focus-token", "focus")
     jobs = tuple(
         EvalJob(model=model, dataset=dataset, method=method,
                 num_samples=num_samples, seed=seed,
-                config=_base_config(matcher, forward_batch))
+                config=DEFAULT_CONFIG)
         for method in methods
     )
 
@@ -491,8 +456,6 @@ def plan_fig9(
     datasets: tuple[str, ...] = VIDEO_DATASETS,
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 9: speedup and energy vs all baselines."""
     methods = ("dense", "framefusion", "adaptiv", "cmc", "focus")
@@ -500,7 +463,7 @@ def plan_fig9(
         (model, dataset, method): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed,
-            config=_base_config(matcher, forward_batch),
+            config=DEFAULT_CONFIG,
         )
         for model in models
         for dataset in datasets
@@ -510,7 +473,7 @@ def plan_fig9(
     # which the engine's dedupe collapses for free.
     power_job = EvalJob(model="llava-video", dataset="videomme",
                         method="focus", num_samples=num_samples, seed=seed,
-                        config=_base_config(matcher, forward_batch))
+                        config=DEFAULT_CONFIG)
 
     def assemble(
         results: Results, engine: ExperimentEngine | None = None
@@ -627,8 +590,6 @@ def plan_fig10a(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(a): GEMM m-tile size vs latency and buffer demand.
 
@@ -640,7 +601,7 @@ def plan_fig10a(
     jobs = {}
     for m_tile in m_tiles:
         effective = m_tile if m_tile > 0 else 1 << 20
-        config = _base_config(matcher, forward_batch, m_tile=effective)
+        config = DEFAULT_CONFIG.with_overrides(m_tile=effective)
         jobs[m_tile] = EvalJob(
             model=model, dataset=dataset, method="focus",
             num_samples=num_samples, seed=seed, config=config,
@@ -681,15 +642,13 @@ def plan_fig10b(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(b): vector size vs array MACs and accumulator ops."""
     jobs = {
         v: EvalJob(
             model=model, dataset=dataset, method="focus",
             num_samples=num_samples, seed=seed,
-            config=_base_config(matcher, forward_batch, vector_size=v, n_tile=v),
+            config=DEFAULT_CONFIG.with_overrides(vector_size=v, n_tile=v),
         )
         for v in vector_sizes
     }
@@ -724,16 +683,13 @@ def plan_fig10c(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(c): SIC block size (f, h, w) vs latency."""
     jobs = {
         (bf, bh, bw): EvalJob(
             model=model, dataset=dataset, method="focus",
             num_samples=num_samples, seed=seed,
-            config=_base_config(
-                matcher, forward_batch,
+            config=DEFAULT_CONFIG.with_overrides(
                 block_frames=bf, block_height=bh, block_width=bw
             ),
         )
@@ -773,8 +729,6 @@ def plan_fig10d(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(d): scatter accumulator count vs latency.
 
@@ -784,7 +738,7 @@ def plan_fig10d(
     """
     job = EvalJob(model=model, dataset=dataset, method="focus",
                   num_samples=num_samples, seed=seed,
-                  config=_base_config(matcher, forward_batch))
+                  config=DEFAULT_CONFIG)
 
     def assemble(
         results: Results, engine: ExperimentEngine | None = None
@@ -833,15 +787,13 @@ def plan_fig11(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 11: SEC-only and SEC+SIC vs SA and CMC."""
     methods = ("dense", "cmc", "focus-sec", "focus")
     jobs = {
         method: EvalJob(model=model, dataset=dataset, method=method,
                         num_samples=num_samples, seed=seed,
-                        config=_base_config(matcher, forward_batch))
+                        config=DEFAULT_CONFIG)
         for method in methods
     }
 
@@ -900,15 +852,13 @@ def plan_fig12(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 12: DRAM access and activation size ratios."""
     jobs = {
         (model, method): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed,
-            config=_base_config(matcher, forward_batch),
+            config=DEFAULT_CONFIG,
         )
         for model in models
         for method, _ in _FIG12_METHODS
@@ -973,8 +923,6 @@ def plan_fig13(
     seed: int = 0,
     bins: int = 24,
     paper_tile_rows: int = 1024,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 13: tile-length histogram and array utilization.
 
@@ -985,7 +933,7 @@ def plan_fig13(
     """
     job = EvalJob(model=model, dataset=dataset, method="focus",
                   num_samples=num_samples, seed=seed,
-                  config=_base_config(matcher, forward_batch))
+                  config=DEFAULT_CONFIG)
 
     def assemble(results: Results) -> Fig13Result:
         merged = results[job].merged_trace
@@ -1044,8 +992,6 @@ def plan_scenario(
     methods: tuple[str, ...] = SCENARIO_METHODS,
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Evaluate one generative scenario family.
 
@@ -1061,7 +1007,7 @@ def plan_scenario(
     jobs = tuple(
         EvalJob(model=model, dataset=spec.name, method=method,
                 num_samples=num_samples, seed=seed,
-                config=_base_config(matcher, forward_batch))
+                config=DEFAULT_CONFIG)
         for method in methods
     )
 

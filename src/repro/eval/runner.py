@@ -174,47 +174,9 @@ def evaluate_samples(
         dataset=dataset_name,
         method=f"{method}-int8" if quantized else method,
     )
-    outcomes = _forward_outcomes(model, samples, method, config, quantized)
-    for sample, outcome in zip(samples, outcomes):
-        result.correct.append(outcome.correct)
-        result.sparsities.append(
-            computation_sparsity(outcome.trace, model.config, sample)
-        )
-        result.traces.append(outcome.trace)
-        result.dense_macs.append(dense_macs_for(model.config, sample))
-    return result
-
-
-def _forward_outcomes(
-    model: SyntheticVLM,
-    samples: list[Sample],
-    method: str,
-    config: FocusConfig,
-    quantized: bool,
-) -> list:
-    """Per-sample inference outcomes, batched when the config asks.
-
-    With ``config.forward_batch > 1`` and a method that has a batched
-    implementation, samples run in shape-bucketed stacked passes
-    (:func:`repro.core.batched.run_batched`); otherwise the retained
-    per-sample loop runs — the parity oracle both arms are held to.
-    Either way the outcome list is in sample order and per-sample
-    bit-identical.
-    """
-    if config.forward_batch > 1:
-        from repro.core.batched import make_batch_plugin, run_batched
-
-        batch_plugin = make_batch_plugin(
-            method, model, config, quantized=quantized
-        )
-        if batch_plugin is not None:
-            return run_batched(
-                model, samples, batch_plugin, config.forward_batch
-            )
     plugin: InferencePlugin = make_plugin(method, model, config)
     if quantized:
         plugin = Int8ActivationPlugin(plugin)
-    outcomes = []
     for index, sample in enumerate(samples):
         if index and not plugin.reusable:
             # Stateful plugins get a fresh instance per sample, as the
@@ -222,8 +184,14 @@ def _forward_outcomes(
             plugin = make_plugin(method, model, config)
             if quantized:
                 plugin = Int8ActivationPlugin(plugin)
-        outcomes.append(model.forward(sample, plugin))
-    return outcomes
+        outcome = model.forward(sample, plugin)
+        result.correct.append(outcome.correct)
+        result.sparsities.append(
+            computation_sparsity(outcome.trace, model.config, sample)
+        )
+        result.traces.append(outcome.trace)
+        result.dense_macs.append(dense_macs_for(model.config, sample))
+    return result
 
 
 def evaluate_span(

@@ -74,12 +74,8 @@ def attention_scores(
 ) -> np.ndarray:
     """Scaled, causally masked attention scores.
 
-    Accepts per-head arrays of shape ``(..., s, head_dim)`` — the
-    serial forward passes ``(heads, s, head_dim)``, the batched
-    forward ``(lanes, heads, s, head_dim)``; ``matmul`` runs the very
-    same per-slice GEMM either way and the scale/mask apply
-    elementwise, so each lane's scores are bit-identical to its own
-    serial pass.
+    Accepts per-head arrays of shape ``(..., s, head_dim)``; the
+    forward passes ``(heads, s, head_dim)``.
 
     The float32 scale keeps the attention path in float32 end to end:
     a bare ``np.sqrt(python int)`` is a float64 scalar and would

@@ -28,7 +28,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.accel.trace import GemmTrace
-    from repro.model.vlm import BatchState, TokenState
+    from repro.model.vlm import TokenState
 
 
 @dataclass
@@ -142,76 +142,3 @@ class InferencePlugin:
 
 DENSE_PLUGIN = InferencePlugin()
 """Shared no-op plugin instance for dense runs."""
-
-
-class BatchPlugin:
-    """Hook protocol of the cross-sample batched forward pass.
-
-    :meth:`SyntheticVLM.forward_batch <repro.model.vlm.SyntheticVLM.
-    forward_batch>` stacks same-shape samples into ``(lanes, tokens,
-    ...)`` arrays and invokes these hooks once per site instead of
-    once per sample.  Implementations must keep every lane's observable
-    outputs (values, keep masks, :class:`DedupStats`, trace updates on
-    ``lane.trace``) bit-identical to what the corresponding serial
-    :class:`InferencePlugin` would produce for that lane alone — the
-    contract the differential suite enforces.
-
-    Only the hooks below exist in batched mode; methods that need
-    ``on_visual_tokens``/``before_layer`` (entry compression, token
-    merging) have no batched implementation and fall back to the
-    serial loop.  All hooks are no-ops here (dense execution).
-    """
-
-    reusable: bool = True
-    """Batched plugins must be reusable across chunks of a bucket (and
-    across buckets): one batched cell evaluation constructs exactly
-    one plugin."""
-
-    def begin(self, batch: "BatchState") -> None:
-        """Called once before the first layer of a batched pass."""
-
-    def gemm_input(
-        self,
-        layer_index: int,
-        site: str,
-        x: np.ndarray,
-        batch: "BatchState",
-        producers: "list[GemmTrace | None]",
-        n: int,
-    ) -> tuple[np.ndarray, "list[DedupStats | None]"]:
-        """Optionally concentrate a stacked GEMM input.
-
-        Args:
-            x: GEMM input of shape ``(lanes, tokens, k)``.
-            batch: Current batch state (per-lane token states).
-            producers: Per-lane trace records of the GEMM that
-                produced ``x``.
-            n: Output width of the consuming GEMM.
-
-        Returns:
-            The (possibly approximated) stacked input and one
-            :class:`DedupStats` (or ``None``) per lane.
-        """
-        return x, [None] * batch.num_lanes
-
-    def after_attention_probs(
-        self,
-        layer_index: int,
-        probs: np.ndarray,
-        batch: "BatchState",
-    ) -> "list[np.ndarray] | None":
-        """Optionally select tokens to keep after the attention softmax.
-
-        Args:
-            probs: Stacked attention probabilities ``(lanes, heads,
-                tokens, tokens)``.
-
-        Returns:
-            One boolean keep-mask per lane — every mask must keep the
-            same number of tokens (the stack stays rectangular) — or
-            ``None`` to keep all.
-        """
-        return None
-
-    def finish(self, batch: "BatchState") -> None:
-        """Called once after the last layer."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.accel.trace import GemmTrace, ModelTrace
 from repro.model.functional import attention_scores, rms_norm, softmax
-from repro.model.plugins import BatchPlugin, DedupStats, InferencePlugin
+from repro.model.plugins import DedupStats, InferencePlugin
 from repro.model.spec import ModelConfig
 from repro.model.weights import LayerWeights, build_all_weights
 from repro.utils.fp import quantize_fp16
@@ -24,18 +24,6 @@ from repro.workloads.datasets import Sample
 
 TEXT_POSITION = np.array([-1, -1, -1], dtype=np.int64)
 """Sentinel FHW position for text tokens (never block-matched)."""
-
-
-def _flat_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stacked ``(L, s, k) @ (k, n)`` as one flattened 2D GEMM.
-
-    A single ``(L*s, k) @ (k, n)`` call replaces the gufunc's L
-    per-slice GEMMs; each output row is the same row-by-column dot
-    either way, so the result is bit-identical while the BLAS kernel
-    sees one large matrix instead of L small ones.
-    """
-    lanes, s, k = x.shape
-    return (x.reshape(lanes * s, k) @ w).reshape(lanes, s, w.shape[1])
 
 
 @dataclass
@@ -108,51 +96,6 @@ class InferenceResult:
     final_tokens: int
 
 
-@dataclass
-class BatchState:
-    """Token state of a cross-sample batched forward pass.
-
-    ``hidden`` is the master ``(lanes, tokens, hidden)`` stack; each
-    lane's :class:`TokenState` views its slice (``lane.hidden is
-    batch.hidden[i]`` between layers), so per-lane bookkeeping —
-    positions, versions, traces, scratch — runs unchanged on views of
-    the stacked data.  All lanes hold the same token count at every
-    point of the pass (samples are bucketed by shape and the SEC's
-    budget is a deterministic function of the initial image count), so
-    the stack stays rectangular end to end.
-    """
-
-    lanes: list[TokenState]
-    hidden: np.ndarray
-
-    @property
-    def num_lanes(self) -> int:
-        return len(self.lanes)
-
-    @property
-    def num_tokens(self) -> int:
-        return int(self.hidden.shape[1])
-
-    def set_hidden(self, hidden: np.ndarray) -> None:
-        """Install a new stack and re-point every lane's view at it."""
-        self.hidden = hidden
-        for index, lane in enumerate(self.lanes):
-            lane.hidden = hidden[index]
-
-    def restack(self) -> None:
-        """Re-stack per-lane hidden states (after a per-lane prune).
-
-        Raises if the lanes diverged in shape — the rectangularity
-        invariant batched execution rests on.
-        """
-        shapes = {lane.hidden.shape for lane in self.lanes}
-        if len(shapes) != 1:
-            raise ValueError(
-                f"lanes diverged in shape after pruning: {sorted(shapes)}"
-            )
-        self.set_hidden(np.stack([lane.hidden for lane in self.lanes]))
-
-
 class SyntheticVLM:
     """A constructed-weight VLM with pluggable concentration hooks."""
 
@@ -213,59 +156,6 @@ class SyntheticVLM:
             trace=state.trace,
             final_tokens=state.num_tokens,
         )
-
-    def forward_batch(
-        self, samples: list[Sample], plugin: BatchPlugin | None = None
-    ) -> list[InferenceResult]:
-        """Run the model on a stack of same-shape samples at once.
-
-        The samples must share their token layout (visual/text counts
-        and grid — callers bucket by shape); the whole stack then runs
-        as one tensorized pass over ``(lanes, tokens, hidden)`` arrays.
-        Every stacked operation applies the serial pass's kernels
-        per lane slice (matmul loops the same per-slice GEMM, norms
-        and softmax reduce over trailing axes, elementwise ops are
-        elementwise), so each lane's :class:`InferenceResult` — answer,
-        trace, token counts — is bit-identical to
-        :meth:`forward` on that sample alone, for every batch size.
-        """
-        plugin = plugin or BatchPlugin()
-        if not samples:
-            return []
-        lanes = [self.initial_state(sample) for sample in samples]
-        shapes = {
-            (lane.num_tokens, lane.grid, int(lane.num_image_initial))
-            for lane in lanes
-        }
-        if len(shapes) != 1:
-            raise ValueError(
-                f"forward_batch needs same-shape samples, got {sorted(shapes)}"
-            )
-        batch = BatchState(lanes=lanes, hidden=np.empty(0))
-        batch.set_hidden(np.stack([lane.hidden for lane in lanes]))
-        for lane in lanes:
-            lane.trace.initial_tokens = lane.num_tokens
-        plugin.begin(batch)
-
-        last_writers: list[GemmTrace | None] = [None] * len(lanes)
-        for layer_index, weights in enumerate(self.layers):
-            last_writers = self._run_layer_batch(
-                layer_index, weights, batch, plugin, last_writers
-            )
-            for lane in lanes:
-                lane.trace.tokens_per_layer.append(lane.num_tokens)
-        plugin.finish(batch)
-
-        results = []
-        for sample, lane in zip(samples, lanes):
-            predicted = self._readout(sample, lane)
-            results.append(InferenceResult(
-                predicted_index=predicted,
-                correct=predicted == sample.question.answer_index,
-                trace=lane.trace,
-                final_tokens=lane.num_tokens,
-            ))
-        return results
 
     def _run_layer(
         self,
@@ -341,120 +231,6 @@ class SyntheticVLM:
 
         state.hidden = x
         return fc2_trace
-
-    def _run_layer_batch(
-        self,
-        layer_index: int,
-        weights: LayerWeights,
-        batch: BatchState,
-        plugin: BatchPlugin,
-        last_writers: list[GemmTrace | None],
-    ) -> list[GemmTrace | None]:
-        """One transformer layer over the whole lane stack.
-
-        Mirrors :meth:`_run_layer` operation for operation with a
-        leading lane axis; per-lane trace records are appended at the
-        identical points so each lane's trace equals its serial one.
-        """
-        cfg = self.config
-        d, heads, head_dim = cfg.hidden, cfg.num_heads, cfg.head_dim
-        lanes = batch.lanes
-        num_lanes = batch.num_lanes
-
-        x = batch.hidden                              # (L, s, d)
-        normed = rms_norm(x)
-        normed, _ = self._concentrated_gemm_batch(
-            plugin, layer_index, "qkv", normed, batch, last_writers,
-            k=d, n=3 * d,
-        )
-        q = _flat_matmul(normed, weights.wq)
-        k = _flat_matmul(normed, weights.wk)
-        v = _flat_matmul(normed, weights.wv)
-
-        s = batch.num_tokens
-        q_h = q.reshape(num_lanes, s, heads, head_dim).transpose(0, 2, 1, 3)
-        k_h = k.reshape(num_lanes, s, heads, head_dim).transpose(0, 2, 1, 3)
-        v_h = v.reshape(num_lanes, s, heads, head_dim).transpose(0, 2, 1, 3)
-        scores = attention_scores(q_h, k_h, head_dim)
-        for lane in lanes:
-            lane.trace.add(
-                GemmTrace(name="qk", layer=layer_index, m=s, k=d, n=s)
-            )
-        probs = softmax(scores, axis=-1)
-
-        keeps = plugin.after_attention_probs(layer_index, probs, batch)
-        if keeps is not None:
-            # Semantic pruning, per lane: retained query rows proceed
-            # to P x V exactly as in the serial pass; equal budgets
-            # keep the stack rectangular (restack checks).
-            pruned = [
-                probs[index][:, keep, :]
-                for index, keep in enumerate(keeps)
-            ]
-            for lane, keep in zip(lanes, keeps):
-                lane.apply_keep(keep)
-            batch.restack()
-            probs = np.stack(pruned)
-        x = batch.hidden
-        s_q = probs.shape[2]
-
-        ctx = (probs @ v_h).transpose(0, 2, 1, 3).reshape(num_lanes, s_q, d)
-        pv_traces = [
-            lane.trace.add(
-                GemmTrace(name="pv", layer=layer_index, m=s_q, k=s, n=d)
-            )
-            for lane in lanes
-        ]
-
-        ctx, o_traces = self._concentrated_gemm_batch(
-            plugin, layer_index, "o_proj", ctx, batch, pv_traces, k=d, n=d,
-        )
-        attn_out = _flat_matmul(ctx, weights.wo)
-        x = quantize_fp16(x + attn_out, cfg.fp16)
-
-        normed2 = rms_norm(x)
-        normed2, fc1_traces = self._concentrated_gemm_batch(
-            plugin, layer_index, "fc1", normed2, batch, o_traces,
-            k=d, n=cfg.ffn_hidden,
-        )
-        h = np.tanh(_flat_matmul(normed2, weights.w_fc1))
-        fc2_traces = [
-            lane.trace.add(
-                GemmTrace(name="fc2", layer=layer_index, m=s_q,
-                          k=cfg.ffn_hidden, n=d)
-            )
-            for lane in lanes
-        ]
-        x = quantize_fp16(x + _flat_matmul(h, weights.w_fc2), cfg.fp16)
-
-        batch.set_hidden(x)
-        return list(fc2_traces)
-
-    def _concentrated_gemm_batch(
-        self,
-        plugin: BatchPlugin,
-        layer_index: int,
-        site: str,
-        x: np.ndarray,
-        batch: BatchState,
-        producers: list[GemmTrace | None],
-        k: int,
-        n: int,
-    ) -> tuple[np.ndarray, list[GemmTrace]]:
-        """Apply the batch plugin's gather; record per-lane GEMM traces."""
-        x, stats_list = plugin.gemm_input(
-            layer_index, site, x, batch, producers, n
-        )
-        traces = []
-        for lane, stats, producer in zip(batch.lanes, stats_list, producers):
-            trace = GemmTrace(
-                name=site, layer=layer_index, m=x.shape[1], k=k, n=n
-            )
-            if stats is not None:
-                self._annotate(trace, producer, stats, lane)
-            lane.trace.add(trace)
-            traces.append(trace)
-        return x, traces
 
     def _concentrated_gemm(
         self,

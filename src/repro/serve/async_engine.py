@@ -223,7 +223,7 @@ class AsyncExperimentEngine:
         """Start one run (requires a running event loop).
 
         ``params`` go to every plan factory (``num_samples``, ``seed``,
-        ``matcher``, ...).  Unknown experiment names raise ``KeyError``
+        ...).  Unknown experiment names raise ``KeyError``
         here, before anything is scheduled.  ``on_error="collect"``
         selects partial-results mode (see
         :meth:`ExperimentEngine.run`); the run then terminates in

@@ -6,13 +6,13 @@ their live event streams out to any number of clients:
 
 ``POST /runs``
     Launch a run.  JSON body: ``{"experiments": ["table2", ...],
-    "samples": N, "seed": S, "matcher": "wavefront",
-    "on_error": "raise"|"collect"}`` (everything but ``experiments``
-    optional).  ``on_error: "collect"`` selects partial-results mode:
-    jobs that permanently fail (see :mod:`repro.engine.faults`) cost
-    their experiment, not the run, which then terminates with a
-    ``run-partial`` event and status ``partial``.  Responds ``201``
-    with the run id and the events/result URLs.  All runs share one
+    "samples": N, "seed": S, "on_error": "raise"|"collect"}``
+    (everything but ``experiments`` optional).  ``on_error:
+    "collect"`` selects partial-results mode: jobs that permanently
+    fail (see :mod:`repro.engine.faults`) cost their experiment, not
+    the run, which then terminates with a ``run-partial`` event and
+    status ``partial``.  Responds ``201`` with the run id and the
+    events/result URLs.  All runs share one
     :class:`~repro.engine.scheduler.ExperimentEngine` and one
     :class:`~repro.engine.cache.ResultCache`: a spec overlapping any
     *finished* run is served from the cache; runs launched
@@ -312,8 +312,6 @@ class ServeApp:
             raise HttpError(
                 400, f"'samples'/'seed' must be integers: {exc}"
             ) from None
-        if spec.get("matcher") is not None:
-            params["matcher"] = str(spec["matcher"])
         if spec.get("scenario") is not None:
             if list(names) != ["scenario"]:
                 raise HttpError(

@@ -6,8 +6,8 @@ profile (tenant 0 sends VideoMME-style video QA, tenant 1 VQAv2-style
 image QA, ...), and burst lengths are drawn from a seeded generator
 around a mean of ``burst`` requests.  Consecutive samples therefore
 alternate between grids and token shapes exactly the way mixed-tenant
-traffic does — the adversarial case for shape-bucketed batched
-forward passes and per-shape tile-plan caches.
+traffic does — the adversarial case for per-shape tile-plan
+caches.
 
 Sample ``i``'s tenant is found by walking the burst-length stream
 from the start; every draw is keyed by the burst index, so the walk

@@ -16,6 +16,12 @@ from repro.workloads.video import RenderParams
 TINY_HIDDEN = 64
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: end-to-end test that runs whole experiments"
+    )
+
+
 @pytest.fixture(scope="session")
 def tiny_model_config() -> ModelConfig:
     return ModelConfig(

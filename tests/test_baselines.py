@@ -13,7 +13,10 @@ from repro.baselines.gpu import (
     GpuSpec,
     simulate_gpu,
 )
+from repro.core.pipeline import FocusPlugin
 from repro.eval.metrics import computation_sparsity
+from repro.model.plugins import InferencePlugin
+from repro.quant.int8 import Int8ActivationPlugin
 
 
 class TestSignAgreement:
@@ -152,3 +155,23 @@ class TestGpuRoofline:
         spec = GpuSpec(name="x", peak_tflops=1000.0, bandwidth_gbs=1.0,
                        board_power_w=10.0)
         assert not simulate_gpu(trace, spec).compute_bound
+
+
+class TestPluginReusability:
+    """Plugin construction is hoisted out of the eval loop; stateful
+    plugins opt out via ``reusable = False`` and are re-made per
+    sample."""
+
+    def test_declarations(self):
+        assert DensePlugin.reusable is True
+        assert AdapTiVPlugin.reusable is True
+        assert CMCPlugin.reusable is True
+        assert FrameFusionPlugin.reusable is True
+        assert FocusPlugin.reusable is True
+
+    def test_int8_wrapper_delegates(self):
+        class Stateful(InferencePlugin):
+            reusable = False
+
+        assert Int8ActivationPlugin(DensePlugin()).reusable is True
+        assert Int8ActivationPlugin(Stateful()).reusable is False

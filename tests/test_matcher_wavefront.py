@@ -8,6 +8,10 @@ that contract in over a hypothesis grid of random DAG tables and over
 end-to-end zoo-model forwards, plus the hot-path regressions that rode
 along with the overhaul (float32 attention, causal-mask memo, lazy
 attention summaries).
+
+The program always runs the wavefront ``SimilarityMatcher.match_tile``;
+the whole-gather and whole-forward tests get the reference arm by
+patching ``match_tile`` to the oracle ``match_tile_reference``.
 """
 
 import numpy as np
@@ -20,7 +24,6 @@ from repro.config import FocusConfig
 from repro.core.blocks import build_neighbor_table
 from repro.core.gather import SimilarityGather
 from repro.core.matching import (
-    MATCHER_MODES,
     SimilarityMatcher,
     level_schedule,
     partner_levels,
@@ -30,6 +33,24 @@ from repro.model.functional import causal_mask
 from repro.model.plugins import DENSE_PLUGIN, InferencePlugin
 from repro.quant.int8 import Int8ActivationPlugin
 from repro.workloads.datasets import make_dataset_span
+
+
+MATCHERS = {
+    "reference": SimilarityMatcher.match_tile_reference,
+    "wavefront": SimilarityMatcher.match_tile,
+}
+"""Both matcher implementations, by name."""
+
+
+def _under_each_matcher(monkeypatch, run):
+    """``run()`` once per entry of :data:`MATCHERS`, with that
+    implementation patched in as ``SimilarityMatcher.match_tile``."""
+    outcomes = {}
+    for name, match_tile in MATCHERS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(SimilarityMatcher, "match_tile", match_tile)
+            outcomes[name] = run()
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +110,7 @@ class TestDifferential:
         blocks, table, threshold = tile
         matcher = SimilarityMatcher(threshold)
         ref = matcher.match_tile_reference(blocks, table)
-        wav = matcher.match_tile_wavefront(blocks, table)
+        wav = matcher.match_tile(blocks, table)
         np.testing.assert_array_equal(wav.reps, ref.reps)
         np.testing.assert_array_equal(
             wav.unique_counts(), ref.unique_counts()
@@ -125,11 +146,11 @@ class TestDifferential:
         matcher = SimilarityMatcher(threshold)
         blocks = matcher.split_blocks(x, 4)
         ref = matcher.match_tile_reference(blocks, table)
-        wav = matcher.match_tile_wavefront(blocks, table)
+        wav = matcher.match_tile(blocks, table)
         np.testing.assert_array_equal(wav.reps, ref.reps)
         assert wav.comparisons == ref.comparisons
 
-    def test_gather_parity_across_modes(self, rng):
+    def test_gather_parity_across_modes(self, rng, monkeypatch):
         """Whole-gather parity: tiles, text rows, caching, x_approx."""
         grid = (3, 4, 4)
         positions = np.array([
@@ -145,16 +166,19 @@ class TestDifferential:
         )
         is_text = np.array([False] * n_image + [True] * n_text)
         x = rng.standard_normal((n_image + n_text, 24)).astype(np.float32)
-        x[8:16] = x[0:8]  # duplicate rows so matching happens
+        # Each odd-column token repeats its left neighbour, a partner in
+        # its comparison block, so matching happens in every tile.
+        x[1:n_image:2] = x[0:n_image:2]
 
-        results = {}
-        for mode in MATCHER_MODES:
-            config = FocusConfig(vector_size=8, m_tile=16, matcher=mode)
-            engine = SimilarityGather(config)
-            results[mode] = engine.gather(
+        config = FocusConfig(vector_size=8, m_tile=16)
+        results = _under_each_matcher(
+            monkeypatch,
+            lambda: SimilarityGather(config).gather(
                 x, positions, is_text, grid, cache_token="tok"
-            )
+            ),
+        )
         ref, wav = results["reference"], results["wavefront"]
+        assert wav.unique_total < wav.total_vectors
         np.testing.assert_array_equal(wav.reps, ref.reps)
         np.testing.assert_array_equal(wav.x_approx, ref.x_approx)
         assert wav.tile_lengths == ref.tile_lengths
@@ -195,7 +219,7 @@ class TestLevels:
         assert partner_levels(np.empty((0, 3), dtype=np.int64)).size == 0
         assert level_schedule(np.array([], dtype=np.int64)) == ()
         matcher = SimilarityMatcher(0.9)
-        outcome = matcher.match_tile_wavefront(
+        outcome = matcher.match_tile(
             np.empty((0, 1, 4), dtype=np.float32),
             np.empty((0, 3), dtype=np.int64),
         )
@@ -209,20 +233,20 @@ class TestValidation:
             np.ones((3, 8), dtype=np.float32), 4
         )
         bad = np.array([[-1], [2], [-1]], dtype=np.int64)  # 2 >= 1
-        for mode in MATCHER_MODES:
-            matcher = SimilarityMatcher(0.9, mode=mode)
+        matcher = SimilarityMatcher(0.9)
+        for match_tile in MATCHERS.values():
             with pytest.raises(ValueError, match="precede"):
-                matcher.match_tile(blocks, bad)
+                match_tile(matcher, blocks, bad)
 
     def test_tile_coverage_check(self):
         blocks = SimilarityMatcher.split_blocks(
             np.ones((3, 8), dtype=np.float32), 4
         )
         short = np.full((2, 1), -1, dtype=np.int64)
-        for mode in MATCHER_MODES:
-            matcher = SimilarityMatcher(0.9, mode=mode)
+        matcher = SimilarityMatcher(0.9)
+        for match_tile in MATCHERS.values():
             with pytest.raises(ValueError, match="cover"):
-                matcher.match_tile(blocks, short)
+                match_tile(matcher, blocks, short)
 
     def test_gather_validates_coverage_once(self, rng):
         config = FocusConfig(vector_size=4)
@@ -243,12 +267,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="precede"):
             partner_levels(np.array([[1], [0]], dtype=np.int64))
 
-    def test_unknown_matcher_mode_rejected(self):
-        with pytest.raises(ValueError, match="matcher"):
-            FocusConfig(matcher="bogus")
-        with pytest.raises(ValueError, match="mode"):
-            SimilarityMatcher(0.9, mode="bogus")
-
 
 ZOO_PARITY = (
     ("llava-video", "videomme"),
@@ -264,17 +282,19 @@ class TestForwardParity:
 
     @pytest.mark.parametrize("model_name,dataset", ZOO_PARITY)
     @pytest.mark.parametrize("method", PARITY_ARMS)
-    def test_zoo_forward_trace_parity(self, model_name, dataset, method):
+    def test_zoo_forward_trace_parity(
+        self, model_name, dataset, method, monkeypatch
+    ):
         model = ModelCache.get(model_name)
         sample, = make_dataset_span(
             dataset, model.config.layout, 0, 1, seed=0
         )
-        outcomes = {}
-        for mode in MATCHER_MODES:
-            plugin = make_plugin(
-                method, model, FocusConfig(matcher=mode)
-            )
-            outcomes[mode] = model.forward(sample, plugin)
+        outcomes = _under_each_matcher(
+            monkeypatch,
+            lambda: model.forward(
+                sample, make_plugin(method, model, FocusConfig())
+            ),
+        )
         ref = outcomes["reference"]
         wav = outcomes["wavefront"]
         assert wav.predicted_index == ref.predicted_index
