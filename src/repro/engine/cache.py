@@ -51,9 +51,9 @@ import pickle
 import queue
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Self
 
 from repro.engine.jobs import EvalJob
 
@@ -62,8 +62,46 @@ MISS = object()
 legitimately be falsy)."""
 
 
+class Counters:
+    """``as_dict`` / ``snapshot`` / ``delta`` for a dataclass of counters.
+
+    Every field is a cumulative total (``int``/``float``) or a
+    ``dict[str, int]`` of totals per job kind, so a new counter is
+    declared once, as a field, and all three follow.
+    """
+
+    def as_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+    def snapshot(self) -> Self:
+        """An independent copy (pair with :meth:`delta` to scope the
+        cumulative counters to one run)."""
+        return replace(self, **{
+            f.name: dict(value)
+            for f in fields(self)
+            if isinstance(value := getattr(self, f.name), dict)
+        })
+
+    def delta(self, earlier: Self) -> Self:
+        """Counters accumulated since an earlier snapshot; per-kind
+        tallies keep only the kinds that changed."""
+        changes: dict[str, Any] = {}
+        for f in fields(self):
+            now, then = getattr(self, f.name), getattr(earlier, f.name)
+            if isinstance(now, dict):
+                now = {
+                    kind: count - then.get(kind, 0)
+                    for kind, count in now.items()
+                    if count - then.get(kind, 0)
+                }
+            else:
+                now -= then
+            changes[f.name] = now
+        return replace(self, **changes)
+
+
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss counters, cumulative over the cache's lifetime.
 
     Besides the totals, lookups are counted per job *kind*
@@ -114,73 +152,12 @@ class CacheStats:
         }
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "remote_hits": self.remote_hits,
-            "stores": self.stores,
-            "remote_stores": self.remote_stores,
-            "remote_errors": self.remote_errors,
-            "remote_verify_failures": self.remote_verify_failures,
-            "disk_evictions": self.disk_evictions,
-            "hit_rate": self.hit_rate,
-            "hits_by_kind": dict(self.hits_by_kind),
-            "misses_by_kind": dict(self.misses_by_kind),
+        counters = super().as_dict()
+        by_kind = {
+            name: counters.pop(name)
+            for name in ("hits_by_kind", "misses_by_kind")
         }
-
-    def snapshot(self) -> "CacheStats":
-        """An independent copy (pair with :meth:`delta` to scope the
-        cumulative counters to one run)."""
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            memory_hits=self.memory_hits,
-            disk_hits=self.disk_hits,
-            remote_hits=self.remote_hits,
-            stores=self.stores,
-            remote_stores=self.remote_stores,
-            remote_errors=self.remote_errors,
-            remote_verify_failures=self.remote_verify_failures,
-            disk_evictions=self.disk_evictions,
-            hits_by_kind=dict(self.hits_by_kind),
-            misses_by_kind=dict(self.misses_by_kind),
-        )
-
-    def delta(self, earlier: "CacheStats") -> "CacheStats":
-        """Counters accumulated since an earlier snapshot."""
-
-        def by_kind_delta(
-            now: dict[str, int], then: dict[str, int]
-        ) -> dict[str, int]:
-            return {
-                kind: count - then.get(kind, 0)
-                for kind, count in now.items()
-                if count - then.get(kind, 0)
-            }
-
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            memory_hits=self.memory_hits - earlier.memory_hits,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            remote_hits=self.remote_hits - earlier.remote_hits,
-            stores=self.stores - earlier.stores,
-            remote_stores=self.remote_stores - earlier.remote_stores,
-            remote_errors=self.remote_errors - earlier.remote_errors,
-            remote_verify_failures=(
-                self.remote_verify_failures
-                - earlier.remote_verify_failures
-            ),
-            disk_evictions=self.disk_evictions - earlier.disk_evictions,
-            hits_by_kind=by_kind_delta(
-                self.hits_by_kind, earlier.hits_by_kind
-            ),
-            misses_by_kind=by_kind_delta(
-                self.misses_by_kind, earlier.misses_by_kind
-            ),
-        )
+        return {**counters, "hit_rate": self.hit_rate, **by_kind}
 
 
 class ResultCache:

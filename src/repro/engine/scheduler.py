@@ -3,7 +3,8 @@
 :class:`ExperimentEngine` takes a batch of :class:`~repro.engine.jobs.
 EvalJob` objects — possibly collected from *several* experiments —
 collapses duplicates by key, serves what it can from the result cache,
-and runs the remainder either in-process (``workers=1``) or on a
+and runs the remainder through one dispatch loop, whose executor is
+either the calling thread (``workers=1``) or a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Progress events
 (``cache-hit`` / ``started`` / ``completed``, over every job kind the
 batch schedules: whole-cell ``eval``, per-span ``eval-shard``, sharded
@@ -19,11 +20,14 @@ attempts with deterministic backoff, per-job wall-clock timeouts
 reclaim hung workers, and a worker crash (``BrokenProcessPool``) no
 longer aborts the batch — the pool is respawned and only the in-flight
 cohort is re-dispatched, one job at a time so a repeat crash indicts
-exactly one job, which is then quarantined as *poisoned*.  In
+exactly one job, which is then quarantined as *poisoned*.  A pool that
+cannot be rebuilt leaves the loop running in-process.  In
 partial-results mode (``run(..., on_error="collect")``) permanently
 failed jobs map to structured :class:`~repro.engine.faults.JobFailure`
 records instead of raising, and the retry lifecycle streams as
-``retrying`` / ``gave-up`` / ``quarantined`` progress events.
+``retrying`` / ``gave-up`` / ``quarantined`` progress events.  Fleet
+peers (``peers=``) take whole shares of a batch beside the loop; what
+they cannot deliver joins it afterwards.
 
 The engine is safe to drive from several threads at once — the async
 serving layer (:mod:`repro.serve`) runs many concurrent
@@ -48,16 +52,24 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.engine.cache import MISS, ResultCache
+from repro.engine.cache import MISS, Counters, ResultCache
 from repro.engine.faults import (
     DEFAULT_RETRY_POLICY,
     JobFailure,
     JobTimeout,
+    PeerUnreachable,
     PoisonedJob,
     RetryPolicy,
     run_job_attempt,
@@ -120,19 +132,19 @@ def _warm_up_probe() -> None:
 
 
 @dataclass
-class EngineStats:
+class EngineStats(Counters):
     """Cumulative scheduling counters (one engine's lifetime).
 
     ``executed`` counts actual evaluation calls; the acceptance
     criterion "a warm-cache re-run performs zero new ``evaluate()``
     calls" is checked against it — a job executed by a fleet peer
     counts in ``remote_jobs`` instead, never in ``executed``.
-    ``retries`` counts re-dispatches of any flavor (failed attempt,
-    timeout, crash cohort, unreachable peer), ``timeouts`` hung
-    attempts reclaimed by killing the pool, ``pool_crashes`` pool
-    teardowns forced by a worker crash, ``peer_failures`` peer batches
-    that degraded to local execution, and ``failed`` / ``quarantined``
-    permanently failed and poisoned jobs.
+    ``retries`` counts re-dispatches of a failed, timed-out, or
+    crash-interrupted attempt, ``timeouts`` hung attempts reclaimed by
+    killing the pool, ``pool_crashes`` pool teardowns forced by a
+    worker crash, ``peer_failures`` peer batches that degraded to
+    local execution (their jobs' requeues are not retries), and
+    ``failed`` / ``quarantined`` permanently failed and poisoned jobs.
     """
 
     jobs_submitted: int = 0
@@ -149,66 +161,6 @@ class EngineStats:
     quarantined: int = 0
     wall_s: float = 0.0
     executed_by_kind: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "jobs_submitted": self.jobs_submitted,
-            "jobs_unique": self.jobs_unique,
-            "jobs_deduped": self.jobs_deduped,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "remote_jobs": self.remote_jobs,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_crashes": self.pool_crashes,
-            "peer_failures": self.peer_failures,
-            "failed": self.failed,
-            "quarantined": self.quarantined,
-            "wall_s": self.wall_s,
-            "executed_by_kind": dict(self.executed_by_kind),
-        }
-
-    def delta(self, earlier: "EngineStats") -> "EngineStats":
-        """Counters accumulated since an earlier snapshot."""
-        by_kind = {
-            kind: count - earlier.executed_by_kind.get(kind, 0)
-            for kind, count in self.executed_by_kind.items()
-            if count - earlier.executed_by_kind.get(kind, 0)
-        }
-        return EngineStats(
-            jobs_submitted=self.jobs_submitted - earlier.jobs_submitted,
-            jobs_unique=self.jobs_unique - earlier.jobs_unique,
-            jobs_deduped=self.jobs_deduped - earlier.jobs_deduped,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            executed=self.executed - earlier.executed,
-            remote_jobs=self.remote_jobs - earlier.remote_jobs,
-            retries=self.retries - earlier.retries,
-            timeouts=self.timeouts - earlier.timeouts,
-            pool_crashes=self.pool_crashes - earlier.pool_crashes,
-            peer_failures=self.peer_failures - earlier.peer_failures,
-            failed=self.failed - earlier.failed,
-            quarantined=self.quarantined - earlier.quarantined,
-            wall_s=self.wall_s - earlier.wall_s,
-            executed_by_kind=by_kind,
-        )
-
-    def snapshot(self) -> "EngineStats":
-        return EngineStats(
-            jobs_submitted=self.jobs_submitted,
-            jobs_unique=self.jobs_unique,
-            jobs_deduped=self.jobs_deduped,
-            cache_hits=self.cache_hits,
-            executed=self.executed,
-            remote_jobs=self.remote_jobs,
-            retries=self.retries,
-            timeouts=self.timeouts,
-            pool_crashes=self.pool_crashes,
-            peer_failures=self.peer_failures,
-            failed=self.failed,
-            quarantined=self.quarantined,
-            wall_s=self.wall_s,
-            executed_by_kind=dict(self.executed_by_kind),
-        )
 
 
 @dataclass
@@ -231,15 +183,209 @@ class _JobState:
     crash_attempts: int = 0
     tracebacks: list[str] = field(default_factory=list)
     not_before: float = 0.0  # monotonic clock gate for backoff
-    deadline: float | None = None  # monotonic wall-clock budget
+    deadline: float | None = None  # wall-clock budget while in flight
+
+
+class _InlineExecutor(Executor):
+    """Runs each submitted call to completion in the calling thread.
+
+    The dispatch loop drives it like a pool of one worker: an
+    attempt's exception lands in its future, so retries, backoff, and
+    failure records take the pool's path.  A crash or a hang cannot be
+    told apart from the scheduler itself here, so ``kill`` faults
+    surface as :class:`~repro.engine.faults.InjectedCrash` and
+    wall-clock budgets go unenforced.
+    """
+
+    def submit(
+        self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
+    ) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@dataclass
+class _Batch:
+    """One :meth:`ExperimentEngine.run` call's state, and the
+    transitions every execution path shares: a job is ``started``,
+    then ``settle``-d with a payload, or ``charge``-d an attributed
+    failure — which means ``retrying`` it or ``give_up`` on it.
+
+    ``results`` and ``failures`` are written by the local dispatch
+    loop and by fleet peer-share threads alike.  ``total`` is known
+    only once the batch is classified (sharding changes the unit
+    count); ``on_done`` sees every settled unit.
+    """
+
+    engine: "ExperimentEngine"
+    progress: ProgressCallback | None
+    on_error: str
+    start: float = field(default_factory=time.perf_counter)
+    total: int = 0
+    on_done: Callable[[EvalJob, Any, int], None] | None = None
+    results: dict[EvalJob, Any] = field(default_factory=dict)
+    failures: dict[EvalJob, JobFailure] = field(default_factory=dict)
+
+    def emit(
+        self, action: str, job: EvalJob, detail: Any = None,
+        completed: int | None = None,
+    ) -> None:
+        """Build one sequenced event and deliver it to every observer.
+
+        ``self.progress`` is the batch-local callback handed to
+        :meth:`ExperimentEngine.run` (exceptions propagate — the async
+        layer cancels a run by raising from it), ``engine.progress``
+        the engine-wide one from the constructor.
+        :meth:`~ExperimentEngine.subscribe` observers are notified
+        under the emit lock so each sees a strictly ``seq``-ordered
+        stream even across concurrent batches; a subscriber that
+        raises is dropped with a logged warning.  ``completed``
+        defaults to the units finished so far, capped at ``total``
+        because parent-cell failures are recorded after every unit.
+        """
+        engine = self.engine
+        if (
+            self.progress is None
+            and engine.progress is None
+            and not engine._subscribers
+        ):
+            return
+        if completed is None:
+            completed = min(
+                len(self.results) + len(self.failures), self.total
+            )
+        with engine._lock:
+            event = ProgressEvent(
+                action=action, job=job, completed=completed,
+                total=self.total,
+                elapsed_s=time.perf_counter() - self.start,
+                detail=detail, seq=next(engine._seq),
+            )
+            for token, callback in list(engine._subscribers.items()):
+                try:
+                    callback(event)
+                except Exception:
+                    engine._subscribers.pop(token, None)
+                    logger.warning(
+                        "dropping progress subscriber %d after its "
+                        "callback raised",
+                        token, exc_info=True,
+                    )
+        for callback in (self.progress, engine.progress):
+            if callback is not None:
+                callback(event)
+
+    def started(self, state: _JobState, peer: str | None = None) -> None:
+        if not state.started:
+            state.started = True
+            self.emit(
+                "started", state.job,
+                detail=None if peer is None else {"peer": peer},
+            )
+
+    def settle(
+        self, state: _JobState, payload: Any, peer: str | None = None
+    ) -> None:
+        """Record a payload executed here, or delivered by ``peer``."""
+        engine = self.engine
+        with engine._lock:
+            if peer is None:
+                engine.stats.executed += 1
+                by_kind = engine.stats.executed_by_kind
+                by_kind[state.job.kind] = by_kind.get(state.job.kind, 0) + 1
+            else:
+                engine.stats.remote_jobs += 1
+        # A peer's own cache already published what it executed.
+        engine.cache.put(state.job, payload, publish=peer is None)
+        self.results[state.job] = payload
+        done = len(self.results) + len(self.failures)
+        self.emit(
+            "completed", state.job,
+            detail=None if peer is None else {"peer": peer},
+            completed=done,
+        )
+        if self.on_done is not None:
+            self.on_done(state.job, payload, done)
+
+    def retrying(
+        self, state: _JobState, delay: float, reason: str,
+        peer: str | None = None,
+    ) -> None:
+        """Announce a re-dispatch.  A local one counts as a retry; a
+        job requeued from ``peer`` does not (its share counts one peer
+        failure instead)."""
+        detail = {
+            "attempt": state.attempts,
+            "max_attempts": self.engine.retry_policy.max_attempts,
+            "delay_s": delay,
+            "reason": reason,
+        }
+        if peer is None:
+            with self.engine._lock:
+                self.engine.stats.retries += 1
+        else:
+            detail["peer"] = peer
+        self.emit("retrying", state.job, detail=detail)
+
+    def charge(
+        self, state: _JobState, exc: BaseException,
+        queue: deque[_JobState], reason: str | None = None,
+        trace: str | None = None,
+    ) -> None:
+        """Charge ``state`` one attempt for ``exc``: put it back at the
+        front of ``queue``, gated by its backoff, or give up on it."""
+        policy = self.engine.retry_policy
+        state.attempts += 1
+        state.crash_attempts = 0
+        state.tracebacks.append(
+            trace or "".join(traceback.format_exception(exc))
+        )
+        if not policy.should_retry(exc, state.attempts):
+            kind = "timeout" if isinstance(exc, JobTimeout) else "error"
+            self.give_up(state, kind, exc)
+            return
+        delay = policy.delay_s(state.job, state.attempts)
+        state.not_before = time.monotonic() + delay
+        self.retrying(
+            state, delay, reason or f"{type(exc).__name__}: {exc}"
+        )
+        queue.appendleft(state)
+
+    def give_up(
+        self, state: _JobState, kind: str,
+        exc: BaseException | None = None,
+    ) -> None:
+        """Register a job's terminal failure; raise in raise-mode."""
+        attempts = (
+            state.crash_attempts if kind == "poisoned" else state.attempts
+        )
+        failure = JobFailure(
+            job=state.job, kind=kind, attempts=attempts,
+            tracebacks=tuple(state.tracebacks),
+        )
+        with self.engine._lock:
+            self.engine.stats.failed += 1
+            if kind == "poisoned":
+                self.engine.stats.quarantined += 1
+        self.failures[state.job] = failure
+        self.emit(
+            "quarantined" if kind == "poisoned" else "gave-up",
+            state.job, detail=failure.as_detail(),
+        )
+        if self.on_error == "raise":
+            raise exc if exc is not None else PoisonedJob(failure)
 
 
 class ExperimentEngine:
     """Schedules deduplicated job batches over a cache and worker pool.
 
     Args:
-        workers: Process-pool size; ``1`` executes in-process (still
-            through the cache).
+        workers: Process-pool size; ``1`` runs jobs in the calling
+            thread (still through the cache and the dispatch loop).
         cache: Result cache; defaults to a fresh memory-only cache.
         progress: Optional streaming callback invoked from the
             scheduling process as jobs hit the cache, start, and
@@ -281,11 +427,13 @@ class ExperimentEngine:
             degrades gracefully to, and stays bit-identical with,
             local-only execution.
 
-    The process pool is created lazily on the first parallel batch and
-    reused across :meth:`run` calls — a driver that runs many small
-    sharded-simulation batches pays the pool spawn cost once, not per
-    batch.  :meth:`close` (or the context-manager protocol) releases
-    the workers; a closed engine recreates the pool on next use.
+    Every batch runs through one dispatch loop (:meth:`_dispatch`), in
+    the calling thread or on a process pool that is created lazily on
+    the first parallel batch and reused across :meth:`run` calls — a
+    driver that runs many small sharded-simulation batches pays the
+    pool spawn cost once, not per batch.  :meth:`close` (or the
+    context-manager protocol) releases the workers; a closed engine
+    recreates the pool on next use.
     """
 
     def __init__(
@@ -383,186 +531,11 @@ class ExperimentEngine:
 
     # -- internals ---------------------------------------------------
 
-    def _note_executed(self, job: EvalJob) -> None:
-        with self._lock:
-            self.stats.executed += 1
-            self.stats.executed_by_kind[job.kind] = (
-                self.stats.executed_by_kind.get(job.kind, 0) + 1
-            )
-
-    def _note_retry(self) -> None:
-        with self._lock:
-            self.stats.retries += 1
-
-    def _note_pool_crash(self) -> None:
-        with self._lock:
-            self.stats.pool_crashes += 1
-
-    @staticmethod
-    def _format_exception(exc: BaseException) -> str:
-        return "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
-        )
-
-    def _emit(
-        self, action: str, job: EvalJob, completed: int, total: int,
-        start: float, detail: Any = None,
-        progress: ProgressCallback | None = None,
-    ) -> None:
-        """Build one sequenced event and deliver it to every observer.
-
-        ``progress`` is the batch-local callback handed to :meth:`run`
-        (exceptions propagate — the async layer cancels a run by
-        raising from it), ``self.progress`` the engine-wide one from
-        the constructor.  :meth:`subscribe` observers are notified
-        under the emit lock so each sees a strictly ``seq``-ordered
-        stream even across concurrent batches; a subscriber that
-        raises is dropped with a logged warning.
-        """
-        if (
-            progress is None
-            and self.progress is None
-            and not self._subscribers
-        ):
-            return
-        with self._lock:
-            event = ProgressEvent(
-                action=action, job=job, completed=completed, total=total,
-                elapsed_s=time.perf_counter() - start, detail=detail,
-                seq=next(self._seq),
-            )
-            for token, callback in list(self._subscribers.items()):
-                try:
-                    callback(event)
-                except Exception:
-                    self._subscribers.pop(token, None)
-                    logger.warning(
-                        "dropping progress subscriber %d after its "
-                        "callback raised",
-                        token, exc_info=True,
-                    )
-        for callback in (progress, self.progress):
-            if callback is not None:
-                callback(event)
-
-    def _record_permanent(
-        self, state: _JobState, kind: str, exc: BaseException | None,
-        results: dict[EvalJob, Any], failures: dict[EvalJob, JobFailure],
-        total: int, start: float,
-        progress: ProgressCallback | None, on_error: str,
-    ) -> None:
-        """Register a job's terminal failure; raise in raise-mode."""
-        attempts = (
-            state.crash_attempts if kind == "poisoned" else state.attempts
-        )
-        failure = JobFailure(
-            job=state.job, kind=kind, attempts=attempts,
-            tracebacks=tuple(state.tracebacks),
-        )
-        with self._lock:
-            self.stats.failed += 1
-            if kind == "poisoned":
-                self.stats.quarantined += 1
-        failures[state.job] = failure
-        action = "quarantined" if kind == "poisoned" else "gave-up"
-        self._emit(
-            action, state.job, len(results) + len(failures), total,
-            start, detail=failure.as_detail(), progress=progress,
-        )
-        if on_error == "raise":
-            raise exc if exc is not None else PoisonedJob(failure)
-
-    def _run_serial(
-        self, pending: list[_JobState], results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None = None,
-        progress: ProgressCallback | None = None,
-        on_error: str = "raise",
-    ) -> None:
-        for state in pending:
-            self._execute_serial_state(
-                state, results, failures, total, start,
-                on_done, progress, on_error,
-            )
-
-    def _execute_serial_state(
-        self, state: _JobState, results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None,
-        progress: ProgressCallback | None, on_error: str,
-    ) -> None:
-        """Drive one job (possibly mid-retry, when the pool degraded
-        to in-process execution) to completion or permanent failure."""
-        policy = self.retry_policy
-        while True:
-            if not state.started:
-                state.started = True
-                self._emit(
-                    "started", state.job, len(results) + len(failures),
-                    total, start, progress=progress,
-                )
-            state.dispatches += 1
-            try:
-                payload = run_job_attempt(
-                    state.job, state.dispatches, in_worker=False
-                )
-            except Exception as exc:
-                state.attempts += 1
-                state.crash_attempts = 0
-                state.tracebacks.append(self._format_exception(exc))
-                kind = (
-                    "timeout" if isinstance(exc, JobTimeout) else "error"
-                )
-                if not policy.should_retry(exc, state.attempts):
-                    self._record_permanent(
-                        state, kind, exc, results, failures, total,
-                        start, progress, on_error,
-                    )
-                    return
-                delay = policy.delay_s(state.job, state.attempts)
-                self._note_retry()
-                self._emit(
-                    "retrying", state.job,
-                    len(results) + len(failures), total, start,
-                    detail={
-                        "attempt": state.attempts,
-                        "max_attempts": policy.max_attempts,
-                        "delay_s": delay,
-                        "reason": f"{type(exc).__name__}: {exc}",
-                    },
-                    progress=progress,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            self._note_executed(state.job)
-            self.cache.put(state.job, payload)
-            results[state.job] = payload
-            done = len(results) + len(failures)
-            self._emit(
-                "completed", state.job, done, total, start,
-                progress=progress,
-            )
-            if on_done is not None:
-                on_done(state.job, payload, done)
-            return
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
-
-    def _respawn_pool(self) -> ProcessPoolExecutor | None:
-        """(Re)build the pool; ``None`` means degrade to serial."""
-        try:
-            return self._ensure_pool()
-        except Exception:
-            logger.warning(
-                "worker pool could not be rebuilt; degrading to serial "
-                "in-process execution", exc_info=True,
-            )
-            return None
 
     def _discard_pool(
         self, pool: ProcessPoolExecutor, terminate: bool = False
@@ -605,45 +578,40 @@ class ExperimentEngine:
         if self.workers > 1:
             self._ensure_pool().submit(_warm_up_probe).result()
 
-    def _run_pool(
-        self, pending: list[_JobState], results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None = None,
-        progress: ProgressCallback | None = None,
-        on_error: str = "raise",
-    ) -> None:
+    def _dispatch(self, batch: _Batch, pending: list[_JobState]) -> None:
         """The resilient dispatch loop.
 
         Jobs are dispatched through a bounded in-flight window of
         ``workers`` futures (so dispatch ≈ start, which keeps per-job
         deadlines honest and crash cohorts small), collected as they
-        finish, and retried per the engine's :class:`RetryPolicy`.
-        A worker crash tears the pool down and re-dispatches the
-        in-flight cohort through an *isolation* queue — one job at a
-        time — so a repeat crash indicts exactly one job; hung jobs
-        are reclaimed by terminating the pool and re-dispatching the
-        innocent bystanders without penalty.  If the pool cannot be
-        (re)built at all, the remaining jobs degrade to serial
-        in-process execution.
+        finish, and retried per the engine's :class:`RetryPolicy`; a
+        retried job waits out its backoff at the front of the queue
+        while ready jobs go ahead of it.  A worker crash tears the
+        pool down and re-dispatches the in-flight cohort through an
+        *isolation* queue — one job at a time — so a repeat crash
+        indicts exactly one job; hung jobs are reclaimed by
+        terminating the pool and re-dispatching the innocent
+        bystanders without penalty.
+
+        The executor is the calling thread (window 1) for ``workers=1``
+        or a lone job with no timeout to enforce, since a pool cannot
+        pay for itself there; if the pool cannot be (re)built at all,
+        the remaining jobs continue in-process on the same loop.
         """
         policy = self.retry_policy
         ready: deque[_JobState] = deque(pending)
         isolation: deque[_JobState] = deque()
         inflight: dict[Any, _JobState] = {}
-        pool: ProcessPoolExecutor | None = None
-
-        def completed_count() -> int:
-            return len(results) + len(failures)
+        inline = self.workers == 1 or (
+            len(pending) == 1 and self.job_timeout_s is None
+        )
+        pool: Executor | None = None
 
         def dispatch(state: _JobState) -> None:
-            if not state.started:
-                state.started = True
-                self._emit(
-                    "started", state.job, completed_count(), total,
-                    start, progress=progress,
-                )
+            batch.started(state)
             future = pool.submit(
-                run_job_attempt, state.job, state.dispatches + 1, True
+                run_job_attempt, state.job, state.dispatches + 1,
+                not inline,
             )
             state.dispatches += 1
             state.deadline = (
@@ -652,139 +620,59 @@ class ExperimentEngine:
             )
             inflight[future] = state
 
-        def emit_retrying(
-            state: _JobState, delay: float, reason: str
-        ) -> None:
-            self._note_retry()
-            self._emit(
-                "retrying", state.job, completed_count(), total, start,
-                detail={
-                    "attempt": state.attempts,
-                    "max_attempts": policy.max_attempts,
-                    "delay_s": delay,
-                    "reason": reason,
-                },
-                progress=progress,
-            )
-
-        def settle(state: _JobState, payload: Any) -> None:
-            self._note_executed(state.job)
-            self.cache.put(state.job, payload)
-            results[state.job] = payload
-            self._emit(
-                "completed", state.job, completed_count(), total, start,
-                progress=progress,
-            )
-            if on_done is not None:
-                on_done(state.job, payload, completed_count())
-
-        def handle_error(state: _JobState, exc: BaseException) -> None:
-            state.attempts += 1
-            state.crash_attempts = 0
-            state.deadline = None
-            state.tracebacks.append(self._format_exception(exc))
-            kind = "timeout" if isinstance(exc, JobTimeout) else "error"
-            if not policy.should_retry(exc, state.attempts):
-                self._record_permanent(
-                    state, kind, exc, results, failures, total, start,
-                    progress, on_error,
-                )
-                return
-            delay = policy.delay_s(state.job, state.attempts)
-            state.not_before = time.monotonic() + delay
-            emit_retrying(state, delay, f"{type(exc).__name__}: {exc}")
-            ready.append(state)
-
-        def collect(future: Any, state: _JobState) -> bool:
-            """Fold one finished future in; True if the pool crashed."""
-            try:
-                payload = future.result()
-            except BrokenProcessPool:
-                return True
-            except Exception as exc:
-                handle_error(state, exc)
-                return False
-            settle(state, payload)
-            return False
-
-        def requeue_inflight(
-            target: deque[_JobState], front: bool = True
-        ) -> None:
-            """Re-dispatch every in-flight job without penalty."""
+        def drain() -> list[_JobState]:
+            """Cancel every in-flight future; return their states."""
             states = list(inflight.values())
-            for future in list(inflight):
+            for future in inflight:
                 future.cancel()
             inflight.clear()
-            for state in states:
-                state.deadline = None
-            if front:
-                for state in reversed(states):
-                    target.appendleft(state)
-            else:
-                target.extend(states)
+            return states
 
         try:
             while ready or isolation or inflight:
                 if pool is None and (ready or isolation):
-                    pool = self._respawn_pool()
-                    if pool is None:
-                        # Graceful degradation: finish everything
-                        # serially, preserving per-job retry state.
-                        leftovers = list(isolation) + list(ready)
-                        isolation.clear()
-                        ready.clear()
-                        for state in leftovers:
-                            state.deadline = None
-                            self._execute_serial_state(
-                                state, results, failures, total, start,
-                                on_done, progress, on_error,
+                    if not inline:
+                        try:
+                            pool = self._ensure_pool()
+                        except Exception:
+                            logger.warning(
+                                "worker pool could not be rebuilt; "
+                                "continuing in-process", exc_info=True,
                             )
-                        return
+                            inline = True
+                    if inline:
+                        pool = _InlineExecutor()
+                # Crash-cohort attribution: while suspects remain,
+                # dispatch exactly one at a time, alone in the pool.
+                queue = isolation or ready
+                window = 1 if inline or isolation else self.workers
 
                 # -- dispatch ---------------------------------------
                 now = time.monotonic()
                 gate: float | None = None  # earliest backoff release
+                blocked: list[_JobState] = []
                 try:
-                    if isolation:
-                        # Crash-cohort attribution: dispatch exactly
-                        # one suspect at a time, alone in the pool.
-                        if not inflight:
-                            state = isolation[0]
-                            if state.not_before <= now:
-                                dispatch(state)
-                                isolation.popleft()
-                            else:
+                    while queue and len(inflight) < window:
+                        state = queue[0]
+                        if state.not_before <= now:
+                            dispatch(state)
+                        else:
+                            blocked.append(state)
+                            if gate is None or state.not_before < gate:
                                 gate = state.not_before
-                    else:
-                        blocked: list[_JobState] = []
-                        try:
-                            while (
-                                ready
-                                and len(inflight) < self.workers
-                            ):
-                                state = ready[0]
-                                if state.not_before <= now:
-                                    dispatch(state)
-                                    ready.popleft()
-                                else:
-                                    blocked.append(ready.popleft())
-                                    if (
-                                        gate is None
-                                        or state.not_before < gate
-                                    ):
-                                        gate = state.not_before
-                        finally:
-                            for state in reversed(blocked):
-                                ready.appendleft(state)
+                        queue.popleft()
                 except BrokenProcessPool:
                     # The pool broke while idle (a worker died between
                     # batches): recycle it and re-dispatch in-flight
                     # jobs without penalty.
-                    self._note_pool_crash()
-                    requeue_inflight(ready)
+                    with self._lock:
+                        self.stats.pool_crashes += 1
+                    ready.extendleft(reversed(drain()))
                     self._discard_pool(pool)
                     pool = None
                     continue
+                finally:
+                    queue.extendleft(reversed(blocked))
 
                 # -- wait -------------------------------------------
                 if not inflight:
@@ -792,25 +680,15 @@ class ExperimentEngine:
                         pause = max(0.0, gate - time.monotonic())
                         time.sleep(min(pause, 0.5))
                     continue
-                timeout = None
-                if self.job_timeout_s is not None:
-                    nearest = min(
-                        (
-                            s.deadline for s in inflight.values()
-                            if s.deadline is not None
-                        ),
-                        default=None,
-                    )
-                    if nearest is not None:
-                        timeout = max(
-                            0.0, nearest - time.monotonic()
-                        )
-                if gate is not None:
-                    pause = max(0.0, gate - time.monotonic())
-                    timeout = (
-                        pause if timeout is None
-                        else min(timeout, pause)
-                    )
+                # Wake for the nearest deadline or backoff release.
+                wakes = [
+                    s.deadline for s in inflight.values()
+                    if s.deadline is not None
+                ] + ([] if gate is None else [gate])
+                timeout = (
+                    max(0.0, min(wakes) - time.monotonic())
+                    if wakes else None
+                )
                 done, _ = wait(
                     set(inflight), timeout=timeout,
                     return_when=FIRST_COMPLETED,
@@ -820,24 +698,27 @@ class ExperimentEngine:
                 crashed: list[_JobState] = []
                 for future in done:
                     state = inflight.pop(future)
-                    if collect(future, state):
+                    try:
+                        payload = future.result()
+                    except BrokenProcessPool:
                         crashed.append(state)
+                    except Exception as exc:
+                        batch.charge(state, exc, ready)
+                    else:
+                        batch.settle(state, payload)
 
                 if crashed:
                     # A worker crash kills the whole pool: everything
                     # still in flight died with it and joins the
                     # cohort.
-                    self._note_pool_crash()
-                    crashed.extend(inflight.values())
-                    for future in list(inflight):
-                        future.cancel()
-                    inflight.clear()
+                    with self._lock:
+                        self.stats.pool_crashes += 1
+                    crashed.extend(drain())
                     self._discard_pool(pool)
                     pool = None
                     if len(crashed) == 1:
                         # Singleton cohort: attribution is exact.
                         state = crashed[0]
-                        state.deadline = None
                         state.crash_attempts += 1
                         state.tracebacks.append(
                             "worker crashed (BrokenProcessPool) on "
@@ -847,11 +728,7 @@ class ExperimentEngine:
                             state.crash_attempts
                             >= policy.max_crash_attempts
                         ):
-                            self._record_permanent(
-                                state, "poisoned", None, results,
-                                failures, total, start, progress,
-                                on_error,
-                            )
+                            batch.give_up(state, "poisoned")
                         else:
                             delay = policy.delay_s(
                                 state.job, state.crash_attempts
@@ -859,7 +736,7 @@ class ExperimentEngine:
                             state.not_before = (
                                 time.monotonic() + delay
                             )
-                            emit_retrying(state, delay, "worker-crash")
+                            batch.retrying(state, delay, "worker-crash")
                             isolation.append(state)
                     else:
                         # Cohort of several: the culprit is unknown,
@@ -867,30 +744,23 @@ class ExperimentEngine:
                         # time so a repeat crash indicts exactly one
                         # job.
                         for state in crashed:
-                            state.deadline = None
-                            emit_retrying(state, 0.0, "worker-lost")
+                            batch.retrying(state, 0.0, "worker-lost")
                             isolation.append(state)
                     continue
 
                 # -- timeouts ---------------------------------------
                 if self.job_timeout_s is not None and inflight:
                     now = time.monotonic()
-                    expired = [
-                        (future, state)
-                        for future, state in inflight.items()
-                        if state.deadline is not None
-                        and now >= state.deadline
-                    ]
                     hung: list[_JobState] = []
-                    for future, state in expired:
+                    for future, state in list(inflight.items()):
+                        if now < state.deadline:
+                            continue
+                        del inflight[future]
                         if future.cancel():
                             # Never started: back in line, no penalty.
-                            inflight.pop(future)
-                            state.deadline = None
                             ready.appendleft(state)
-                            continue
-                        inflight.pop(future)
-                        hung.append(state)
+                        else:
+                            hung.append(state)
                     if hung:
                         # A running future cannot be cancelled:
                         # reclaim the workers by terminating the pool,
@@ -898,38 +768,19 @@ class ExperimentEngine:
                         # without penalty.
                         with self._lock:
                             self.stats.timeouts += len(hung)
-                        requeue_inflight(ready)
+                        ready.extendleft(reversed(drain()))
                         self._discard_pool(pool, terminate=True)
                         pool = None
                         for state in hung:
-                            state.attempts += 1
-                            state.crash_attempts = 0
-                            state.deadline = None
                             exc = JobTimeout(
                                 f"{state.job.describe()} exceeded "
                                 f"{self.job_timeout_s:g}s wall clock "
-                                f"(attempt {state.attempts})"
+                                f"(attempt {state.attempts + 1})"
                             )
-                            state.tracebacks.append(
-                                f"JobTimeout: {exc}"
+                            batch.charge(
+                                state, exc, ready, reason="timeout",
+                                trace=f"JobTimeout: {exc}",
                             )
-                            if policy.should_retry(
-                                exc, state.attempts
-                            ):
-                                delay = policy.delay_s(
-                                    state.job, state.attempts
-                                )
-                                state.not_before = (
-                                    time.monotonic() + delay
-                                )
-                                emit_retrying(state, delay, "timeout")
-                                ready.append(state)
-                            else:
-                                self._record_permanent(
-                                    state, "timeout", exc, results,
-                                    failures, total, start, progress,
-                                    on_error,
-                                )
         except BaseException:
             # Quiesce the batch before propagating (what the old
             # pool-per-run `with` block guaranteed): no orphan futures
@@ -939,46 +790,14 @@ class ExperimentEngine:
             wait(set(inflight))
             raise
 
-    def _run_local(
-        self, pending: list[_JobState], results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None = None,
-        progress: ProgressCallback | None = None,
-        on_error: str = "raise",
-    ) -> None:
-        """Execute a share on this machine (serial or pool).
-
-        A single pending job still goes through the pool when a
-        timeout is set — wall-clock budgets are unenforceable
-        in-process.
-        """
-        if self.workers == 1 or (
-            len(pending) == 1 and self.job_timeout_s is None
-        ):
-            self._run_serial(
-                pending, results, failures, total, start, on_done,
-                progress, on_error,
-            )
-        else:
-            self._run_pool(
-                pending, results, failures, total, start, on_done,
-                progress, on_error,
-            )
-
-    def _run_fleet(
-        self, pending: list[_JobState], results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None = None,
-        progress: ProgressCallback | None = None,
-        on_error: str = "raise",
-    ) -> None:
+    def _run_fleet(self, batch: _Batch, pending: list[_JobState]) -> None:
         """Partition the batch over the fleet and run shares
         concurrently.
 
         Rendezvous hashing owns each job to a peer or the local
-        engine; peer shares ship as one ``POST /jobs`` batch each on
-        their own thread while the local share runs on this machine's
-        serial/pool path.  Any job a peer cannot deliver — the peer is
+        engine; peer shares ship as one ``POST /jobs`` batch each on a
+        thread of their own while the local share runs on the local
+        dispatch loop.  Any job a peer cannot deliver — the peer is
         unreachable, an entry is missing, a digest fails verification,
         or the peer reports a job-level failure — is requeued for
         local execution *without penalty* (its retry budget is
@@ -993,110 +812,57 @@ class ExperimentEngine:
         local_states = [
             by_job[job] for job in shares.pop(LOCAL_NODE, [])
         ]
-        requeued: list[_JobState] = []
-        requeue_lock = threading.Lock()
-        errors: list[BaseException] = []
-
-        def run_share(url: str, jobs: list[EvalJob]) -> None:
-            states = [by_job[job] for job in jobs]
-            try:
-                self._run_peer_share(
-                    url, states, results, failures, total, start,
-                    on_done, progress, requeued, requeue_lock,
+        with ThreadPoolExecutor(
+            max_workers=max(1, len(shares)),
+            thread_name_prefix="repro-fleet",
+        ) as threads:
+            peer_shares = [
+                threads.submit(
+                    self._run_peer_share, batch, url,
+                    [by_job[job] for job in jobs],
                 )
-            except BaseException as exc:  # noqa: BLE001 — re-raised
-                with requeue_lock:
-                    errors.append(exc)
-                    requeued.extend(
-                        state for state in states
-                        if state.job not in results
-                        and state.job not in failures
-                    )
-
-        threads = [
-            threading.Thread(
-                target=run_share, args=(url, jobs),
-                name=f"repro-fleet-{url}", daemon=True,
-            )
-            for url, jobs in shares.items()
-        ]
-        for thread in threads:
-            thread.start()
-        try:
+                for url, jobs in shares.items()
+            ]
             if local_states:
-                self._run_local(
-                    local_states, results, failures, total, start,
-                    on_done, progress, on_error,
-                )
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
+                self._dispatch(batch, local_states)
+        requeued = [
+            state for share in peer_shares for state in share.result()
+        ]
         if requeued:
-            self._run_local(
-                requeued, results, failures, total, start, on_done,
-                progress, on_error,
-            )
+            self._dispatch(batch, requeued)
 
     def _run_peer_share(
-        self, url: str, states: list[_JobState],
-        results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None,
-        progress: ProgressCallback | None,
-        requeued: list[_JobState], requeue_lock: threading.Lock,
-    ) -> None:
-        """Ship one peer's share and fold its results in."""
-        from repro.engine.faults import PeerUnreachable
+        self, batch: _Batch, url: str, states: list[_JobState]
+    ) -> list[_JobState]:
+        """Ship one peer's share, settle what it delivers, and return
+        the states it did not deliver."""
         from repro.remote import protocol
 
-        def completed_count() -> int:
-            return len(results) + len(failures)
-
         def requeue(
-            batch: list[_JobState], reason: str
-        ) -> None:
+            undelivered: list[_JobState], reason: str
+        ) -> list[_JobState]:
             # Penalty-free, like a crashed worker's cohort: the batch
             # counts one peer failure, not one retry per job — the
             # jobs did nothing wrong.
             with self._lock:
                 self.stats.peer_failures += 1
-            for state in batch:
-                self._emit(
-                    "retrying", state.job, completed_count(), total,
-                    start,
-                    detail={
-                        "attempt": state.attempts,
-                        "max_attempts": self.retry_policy.max_attempts,
-                        "delay_s": 0.0,
-                        "reason": reason,
-                        "peer": url,
-                    },
-                    progress=progress,
-                )
-            with requeue_lock:
-                requeued.extend(batch)
+            for state in undelivered:
+                batch.retrying(state, 0.0, reason, peer=url)
+            return undelivered
 
         for state in states:
-            state.started = True
-            self._emit(
-                "started", state.job, completed_count(), total, start,
-                detail={"peer": url}, progress=progress,
-            )
+            batch.started(state, peer=url)
         try:
             entries = self.fleet.peer(url).execute(
                 [state.job for state in states]
             )
         except PeerUnreachable as exc:
-            requeue(states, f"peer-unreachable: {exc}")
-            return
+            return requeue(states, f"peer-unreachable: {exc}")
 
         leftovers: list[_JobState] = []
         for state in states:
             entry = entries.get(state.job.job_id)
-            payload: Any = None
-            delivered = False
+            payload: Any = MISS
             if (
                 isinstance(entry, tuple) and len(entry) == 3
                 and entry[0] == "ok"
@@ -1104,29 +870,17 @@ class ExperimentEngine:
             ):
                 try:
                     payload = protocol.decode_payload(entry[2])
-                    delivered = True
                 except Exception:
-                    delivered = False
-            if not delivered:
+                    pass
+            if payload is MISS:
                 # Missing entry, job-level failure, or corrupt bytes:
                 # local execution is the authoritative fallback for
                 # all of them (it reproduces failures with the
                 # coordinator's own retry policy and records).
                 leftovers.append(state)
-                continue
-            with self._lock:
-                self.stats.remote_jobs += 1
-            self.cache.put(state.job, payload, publish=False)
-            results[state.job] = payload
-            done = completed_count()
-            self._emit(
-                "completed", state.job, done, total, start,
-                detail={"peer": url}, progress=progress,
-            )
-            if on_done is not None:
-                on_done(state.job, payload, done)
-        if leftovers:
-            requeue(leftovers, "peer-incomplete")
+            else:
+                batch.settle(state, payload, peer=url)
+        return requeue(leftovers, "peer-incomplete") if leftovers else []
 
     # -- public API --------------------------------------------------
 
@@ -1179,7 +933,7 @@ class ExperimentEngine:
                 f'on_error must be "raise" or "collect", '
                 f"got {on_error!r}"
             )
-        start = time.perf_counter()
+        batch = _Batch(self, progress, on_error)
         submitted = list(jobs)
         unique: dict[EvalJob, None] = {}
         for job in submitted:
@@ -1212,8 +966,7 @@ class ExperimentEngine:
                 )
             self.cache.prefetch(candidates)
 
-        results: dict[EvalJob, Any] = {}
-        failures: dict[EvalJob, JobFailure] = {}
+        results, failures = batch.results, batch.failures
         hits: list[EvalJob] = []
         hit_tiers: dict[EvalJob, str | None] = {}
         pending: list[EvalJob] = []
@@ -1262,7 +1015,7 @@ class ExperimentEngine:
 
         # Sharding changes the batch's unit count, so the total is only
         # known now; cache-hit events are emitted after classification.
-        total = len(hits) + len(pending)
+        batch.total = len(hits) + len(pending)
 
         def note_shard_done(
             shard: EvalJob, payload: Any, completed: int
@@ -1274,33 +1027,27 @@ class ExperimentEngine:
                 for parent in shard_parents.get(shard, ()):
                     tracker = trackers[parent]
                     tracker.update(payload)
-                    self._emit(
-                        "eval-shard-done", shard, completed, total,
-                        start, detail=tracker.as_detail(parent),
-                        progress=progress,
+                    batch.emit(
+                        "eval-shard-done", shard,
+                        detail=tracker.as_detail(parent),
+                        completed=completed,
                     )
 
         for done, job in enumerate(hits, start=1):
-            self._emit(
-                "cache-hit", job, done, total, start,
-                detail={"tier": hit_tiers[job]}, progress=progress,
+            batch.emit(
+                "cache-hit", job, detail={"tier": hit_tiers[job]},
+                completed=done,
             )
             if job in shard_parents:
                 note_shard_done(job, results[job], done)
 
         if pending:
-            on_done = note_shard_done if plans else None
+            batch.on_done = note_shard_done if plans else None
             states = [_JobState(job=job) for job in pending]
             if self.fleet is not None and self.fleet.peers:
-                self._run_fleet(
-                    states, results, failures, total, start, on_done,
-                    progress, on_error,
-                )
+                self._run_fleet(batch, states)
             else:
-                self._run_local(
-                    states, results, failures, total, start, on_done,
-                    progress, on_error,
-                )
+                self._dispatch(batch, states)
 
         for parent, shards in plans.items():
             failed = [
@@ -1312,11 +1059,8 @@ class ExperimentEngine:
                 # raise mode never reaches the merge step).
                 parent_failure = shard_failure(parent, failed)
                 failures[parent] = parent_failure
-                self._emit(
-                    "gave-up", parent,
-                    min(len(results) + len(failures), total), total,
-                    start, detail=parent_failure.as_detail(),
-                    progress=progress,
+                batch.emit(
+                    "gave-up", parent, detail=parent_failure.as_detail()
                 )
                 continue
             merged = shard_lib.merge_eval_shards(
@@ -1329,5 +1073,5 @@ class ExperimentEngine:
             results.update(failures)
 
         with self._lock:
-            self.stats.wall_s += time.perf_counter() - start
+            self.stats.wall_s += time.perf_counter() - batch.start
         return results

@@ -10,6 +10,7 @@ The heavier scenarios pin the PR's acceptance criteria:
   matches a direct (pre-refactor style) serial ``evaluate`` loop.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.engine import (
     MISS,
+    CacheStats,
+    EngineStats,
     EvalJob,
     ExperimentEngine,
     ResultCache,
@@ -224,6 +227,34 @@ class TestDiskCacheLru:
     def test_negative_cap_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_disk_bytes"):
             ResultCache(cache_dir=tmp_path, max_disk_bytes=-1)
+
+
+class TestStatsCounters:
+    @pytest.mark.parametrize("cls, name", [
+        (cls, f.name)
+        for cls in (EngineStats, CacheStats)
+        for f in dataclasses.fields(cls)
+    ])
+    def test_snapshot_is_independent_and_delta_subtracts(self, cls, name):
+        by_kind = isinstance(getattr(cls(), name), dict)
+        stats = cls(**{name: {"eval": 2} if by_kind else 2})
+        before = stats.snapshot()
+        if by_kind:
+            getattr(stats, name).update(eval=5, sim=1)
+        else:
+            setattr(stats, name, 5)
+        assert getattr(before, name) == ({"eval": 2} if by_kind else 2)
+        changed = {"eval": 3, "sim": 1} if by_kind else 3
+        assert stats.delta(before) == cls(**{name: changed})
+
+    def test_as_dict_key_order(self):
+        assert list(EngineStats().as_dict()) == [
+            f.name for f in dataclasses.fields(EngineStats)
+        ]
+        names = [f.name for f in dataclasses.fields(CacheStats)]
+        assert list(CacheStats().as_dict()) == (
+            names[:-2] + ["hit_rate"] + names[-2:]
+        )
 
 
 @pytest.mark.slow

@@ -29,7 +29,7 @@ from repro.engine import (
     install_fault_plan,
     run_job_attempt,
 )
-from repro.engine import registry
+from repro.engine import registry, scheduler
 from repro.engine.faults import FAULT_PLAN_ENV, shard_failure
 from repro.eval.experiments import plan_table2
 from repro.serve.async_engine import AsyncExperimentEngine
@@ -295,6 +295,31 @@ class TestSerialRetries:
         assert failure.job == parent
         assert any(e.action == "gave-up" and e.job == parent
                    for e in events)
+
+    def test_unbuildable_pool_finishes_in_process(
+        self, monkeypatch, caplog
+    ):
+        jobs = [_job(seed=seed) for seed in range(3)]
+        baseline = ExperimentEngine().run(jobs)
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no processes for you")
+
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", no_pool)
+        install_fault_plan("eval:dense:*@1:raise")
+        engine = ExperimentEngine(
+            workers=2,
+            retry_policy=RetryPolicy(max_attempts=2, backoff_s=0.0),
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.engine"):
+            results = engine.run(jobs)
+        for job in jobs:
+            assert results[job] == baseline[job]
+        assert engine.stats.executed == 3
+        assert engine.stats.retries == 3
+        assert any(
+            "could not be rebuilt" in r.message for r in caplog.records
+        )
 
 
 class TestRegistryPartialResults:

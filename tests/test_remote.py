@@ -21,7 +21,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import MISS, EvalJob, ExperimentEngine, ResultCache
+from repro.engine import (
+    MISS,
+    EvalJob,
+    ExperimentEngine,
+    ResultCache,
+    execute_job,
+)
 from repro.engine.faults import PeerUnreachable
 from repro.remote import protocol
 from repro.remote.cache_server import BackgroundCacheServer, ObjectStore
@@ -390,6 +396,52 @@ class TestFleetDispatch:
         assert fleet_engine.stats.peer_failures >= 1
         assert fleet_engine.stats.remote_jobs == 0
         assert fleet_engine.stats.executed == len(jobs)
+
+    def test_bad_peer_entries_requeued_without_penalty(self, monkeypatch):
+        # The peer answers its share with, in turn, a good entry, an
+        # entry whose digest does not match its bytes, a job-level
+        # failure, and nothing at all.
+        shipped: list[EvalJob] = []
+
+        def execute(self, jobs):
+            entries = {}
+            for index, job in enumerate(jobs):
+                shipped.append(job)
+                blob = protocol.encode_payload(execute_job(job))
+                digest = protocol.payload_digest(blob)
+                if index % 4 == 0:
+                    entries[job.job_id] = ("ok", digest, blob)
+                elif index % 4 == 1:
+                    entries[job.job_id] = ("ok", "0" * len(digest), blob)
+                elif index % 4 == 2:
+                    entries[job.job_id] = ("failed", {"error": "boom"})
+            return entries
+
+        monkeypatch.setattr(PeerClient, "execute", execute)
+        jobs = [_job(num_samples=1, seed=seed) for seed in range(16)]
+        events = []
+        fleet_engine = ExperimentEngine(
+            peers=["http://127.0.0.1:9"], progress=events.append
+        )
+        try:
+            fleet_results = fleet_engine.run(list(jobs))
+        finally:
+            fleet_engine.close()
+        solo_results = ExperimentEngine().run(list(jobs))
+
+        good = shipped[0::4]
+        bad = [job for job in shipped if job not in good]
+        assert len(good) >= 1 and len(bad) >= 3
+        assert fleet_results == solo_results
+        stats = fleet_engine.stats
+        assert stats.peer_failures == 1
+        assert stats.retries == 0
+        assert stats.remote_jobs == len(good)
+        assert stats.executed == len(jobs) - len(good)
+        retrying = [e for e in events if e.action == "retrying"]
+        assert sorted(e.job.job_id for e in retrying) \
+            == sorted(job.job_id for job in bad)
+        assert {e.detail["reason"] for e in retrying} == {"peer-incomplete"}
 
 
 def _stop_peer(proc):
