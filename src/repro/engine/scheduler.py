@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import signal
 import threading
 import time
 import traceback
@@ -129,6 +130,19 @@ ProgressCallback = Callable[[ProgressEvent], None]
 def _warm_up_probe() -> None:
     """Picklable no-op submitted by :meth:`ExperimentEngine.warm_up`."""
     return None
+
+
+def _reset_signals() -> None:
+    """Pool-worker initializer: the interpreter's default signal handling.
+
+    A forked worker inherits the parent's handlers and, before Python
+    3.12, its wakeup fd.  Under ``repro serve`` those belong to the
+    asyncio loop: a worker would ignore SIGTERM and write the signal
+    number into the server loop's self-pipe, shutting the server down.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.set_wakeup_fd(-1)
 
 
 @dataclass
@@ -534,7 +548,9 @@ class ExperimentEngine:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_reset_signals
+                )
             return self._pool
 
     def _discard_pool(
@@ -542,9 +558,10 @@ class ExperimentEngine:
     ) -> None:
         """Drop a broken/poisoned pool so the next use starts fresh.
 
-        ``terminate`` additionally SIGTERMs the worker processes —
+        ``terminate`` additionally SIGKILLs the worker processes —
         required when reclaiming a hung worker, whose running future
-        can never be cancelled.
+        can never be cancelled.  SIGKILL runs no handler, so whatever
+        the job installed cannot keep the worker alive.
         """
         with self._lock:
             if self._pool is pool:
@@ -559,7 +576,7 @@ class ExperimentEngine:
         if terminate:
             for proc in processes:
                 try:
-                    proc.terminate()
+                    proc.kill()
                 except Exception:
                     pass
 

@@ -26,6 +26,8 @@ paper's Table II accuracy column measures.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,3 +199,33 @@ def positional_code(frame: int, row: int, col: int, dim: int) -> np.ndarray:
         phase = coord * freq
         code[start:start + span] = np.where(idx % 2 == 0, np.sin(phase), np.cos(phase))
     return code / np.linalg.norm(code)
+
+
+POSITION_TABLE_MAX_ENTRIES = 32
+"""LRU bound on memoized positional tables.  A table is
+``F * H * W * dim`` float32 (under 150 KB for every zoo layout and
+dataset profile); the keys are the few grid shapes the profiles and
+scenario segments use, times the zoo's layouts."""
+
+
+@functools.lru_cache(maxsize=POSITION_TABLE_MAX_ENTRIES)
+def positional_table(
+    num_frames: int, grid_height: int, grid_width: int, dim: int
+) -> np.ndarray:
+    """:func:`positional_code` of every patch, shape ``(F, H, W, dim)``.
+
+    Each entry is built by :func:`positional_code` itself, so the table
+    is byte-identical to per-patch calls.  (Evaluating the sinusoids
+    over a whole coordinate grid at once is *not*: an integer
+    coordinate array promotes the phase to float64.)  Tables are
+    memoized per grid shape and returned *read-only*, like
+    :func:`repro.model.functional.causal_mask`.
+    """
+    table = np.empty((num_frames, grid_height, grid_width, dim),
+                     dtype=np.float32)
+    for frame, row, col in itertools.product(
+        range(num_frames), range(grid_height), range(grid_width)
+    ):
+        table[frame, row, col] = positional_code(frame, row, col, dim)
+    table.flags.writeable = False
+    return table

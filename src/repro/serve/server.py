@@ -57,6 +57,7 @@ import asyncio
 import itertools
 import json
 import secrets
+import signal
 import sys
 import time
 from collections import deque
@@ -819,6 +820,20 @@ async def serve(
         await app.shutdown()
 
 
+async def _serve_until_signalled(app: ServeApp, host: str, port: int) -> None:
+    """:func:`serve` until SIGINT or SIGTERM.
+
+    ``asyncio.run`` already turns SIGINT into a cancel of this task;
+    SIGTERM (``kill``, process supervisors) gets the same cancel here,
+    so either signal runs :meth:`ServeApp.shutdown` and reaps the
+    engine's forked pool workers instead of orphaning them.
+    """
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel
+    )
+    await serve(app, host, port)
+
+
 def _positive_int(text: str) -> int:
     """argparse type for flags that must be >= 1 (e.g. ``--ring-size``:
     a 0-capacity ring would evict every event and leave subscribers
@@ -939,10 +954,12 @@ def main(argv: Iterable[str] | None = None) -> int:
         store=store,
     )
     try:
-        asyncio.run(serve(app, args.host, args.port))
+        asyncio.run(_serve_until_signalled(app, args.host, args.port))
     except KeyboardInterrupt:
         print("repro-serve: interrupted, shutting down",
               file=sys.stderr)
+    except asyncio.CancelledError:
+        print("repro-serve: terminated, shutting down", file=sys.stderr)
     finally:
         if store is not None:
             store.close()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from repro.model.embedding import Codebooks, SubspaceLayout, positional_code
+from repro.model.embedding import Codebooks, SubspaceLayout, positional_table
 from repro.utils.rng import rng_for
 from repro.workloads.scene import Scene, coverage_map
 
@@ -95,81 +95,85 @@ def render_video(
 ) -> np.ndarray:
     """Render a scene into visual token embeddings.
 
+    Each frame is built with whole-grid array operations; the only
+    Python loop inside a frame runs over the scene's objects.  The
+    random stream is drawn in a fixed order per frame: the change mask,
+    the texture jitter, then one block of attribute noise holding a
+    (colour, motion) pair for every nonzero coverage entry in
+    row-major, then object, order.  Draws and float dtypes match a
+    per-token loop exactly, so the output is byte-identical to the
+    per-token oracle in ``tests/test_video.py``.
+
     Returns:
         Array of shape ``(num_visual_tokens, hidden)`` in FHW order:
         token ``f * H * W + r * W + c`` is patch ``(r, c)`` of frame
         ``f``.
     """
     layout: SubspaceLayout = codebooks.layout
-    hidden = layout.hidden
+    quarter = layout.quarter
+    half = quarter // 2
+    height, width = scene.grid_height, scene.grid_width
     rng = rng_for(seed, "render", sample_index)
     texture = _background_texture(
-        scene, layout.quarter, params.texture_smoothness, rng
+        scene, quarter, params.texture_smoothness, rng
     )
     residue = _background_texture(
-        scene, 2 * layout.quarter, params.texture_smoothness, rng
+        scene, 2 * quarter, params.texture_smoothness, rng
     )
+    positions = positional_table(scene.num_frames, height, width, quarter)
 
-    tokens = np.zeros((scene.num_visual_tokens, hidden), dtype=np.float32)
-    token_index = 0
-    for frame in range(scene.num_frames):
+    tokens = np.zeros(
+        (scene.num_frames, height, width, layout.hidden), dtype=np.float32
+    )
+    for frame, emb in enumerate(tokens):
         cover = coverage_map(scene, frame)
         total_cover = np.clip(cover.sum(axis=0), 0.0, 1.0)
         change_mask = (
-            rng.random((scene.grid_height, scene.grid_width, layout.quarter))
-            < params.change_fraction
+            rng.random((height, width, quarter)) < params.change_fraction
         )
         frame_jitter = (
             params.frame_noise
             * change_mask
-            * rng.standard_normal(
-                (scene.grid_height, scene.grid_width, layout.quarter)
-            )
+            * rng.standard_normal((height, width, quarter))
         ).astype(np.float32)
-        half = layout.quarter // 2
-        for row in range(scene.grid_height):
-            for col in range(scene.grid_width):
-                emb = np.zeros(hidden, dtype=np.float32)
-                for obj_i, obj in enumerate(scene.objects):
-                    weight = float(cover[obj_i, row, col])
-                    if weight == 0.0:
-                        continue
-                    emb[layout.object_slice] += (
-                        params.object_gain * weight
-                        * codebooks.kind_codes[obj.kind_index]
-                    )
-                    color = codebooks.color_codes[obj.color_index]
-                    motion = codebooks.motion_codes[obj.motion_index]
-                    if params.attribute_noise > 0.0:
-                        color = color + params.attribute_noise * (
-                            rng.standard_normal(half).astype(np.float32)
-                            / np.sqrt(half)
-                        )
-                        motion = motion + params.attribute_noise * (
-                            rng.standard_normal(half).astype(np.float32)
-                            / np.sqrt(half)
-                        )
-                    emb[layout.color_slice] += (
-                        params.attribute_gain * weight * color
-                    )
-                    emb[layout.motion_slice] += (
-                        params.attribute_gain * weight * motion
-                    )
-                background_weight = 1.0 - float(total_cover[row, col])
-                emb[layout.texture_slice] = params.texture_gain * (
-                    background_weight * texture[row, col]
-                    + frame_jitter[row, col]
-                )
-                emb[: 2 * layout.quarter] += (
-                    params.background_residue * background_weight
-                    * residue[row, col]
-                )
-                emb[layout.position_slice] = (
-                    params.position_gain
-                    * positional_code(frame, row, col, layout.quarter)
-                )
-                tokens[token_index] = emb
-                token_index += 1
+        rows, cols, owners = np.nonzero(cover.transpose(1, 2, 0))
+        # Gains are formed in float64 (Python-float arithmetic) and
+        # rounded to float32 only where they meet a float32 code.
+        weights = cover[owners, rows, cols].astype(np.float64)
+        if params.attribute_noise > 0.0:
+            # float64: np.sqrt(half) is a float64 scalar.
+            noise = params.attribute_noise * (
+                rng.standard_normal(owners.size * 2 * half)
+                .astype(np.float32).reshape(-1, 2, half)
+                / np.sqrt(half)
+            )
+        for obj_i, obj in enumerate(scene.objects):
+            mine = owners == obj_i
+            r, c, weight = rows[mine], cols[mine], weights[mine, None]
+            emb[r, c, layout.object_slice] += (
+                (params.object_gain * weight).astype(np.float32)
+                * codebooks.kind_codes[obj.kind_index]
+            )
+            color = codebooks.color_codes[obj.color_index]
+            motion = codebooks.motion_codes[obj.motion_index]
+            if params.attribute_noise > 0.0:
+                color = color + noise[mine, 0]
+                motion = motion + noise[mine, 1]
+            gain = (params.attribute_gain * weight).astype(color.dtype)
+            emb[r, c, layout.color_slice] += gain * color
+            emb[r, c, layout.motion_slice] += gain * motion
+        background = 1.0 - total_cover.astype(np.float64)[..., None]
+        emb[..., layout.texture_slice] = params.texture_gain * (
+            background.astype(np.float32) * texture + frame_jitter
+        )
+        emb[..., : 2 * quarter] += (
+            (params.background_residue * background).astype(np.float32)
+            * residue
+        )
+        emb[..., layout.position_slice] = (
+            params.position_gain * positions[frame]
+        )
+    tokens = tokens.reshape(scene.num_visual_tokens, layout.hidden)
     tokens += params.feature_noise * rng.standard_normal(tokens.shape).astype(
         np.float32
     )

@@ -1,5 +1,10 @@
 """Tests for repro.model.embedding (layout, codebooks, positions)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,7 @@ from repro.model.embedding import (
     Codebooks,
     SubspaceLayout,
     positional_code,
+    positional_table,
 )
 
 
@@ -119,3 +125,41 @@ class TestPositionalCode:
         near = positional_code(0, 2, 3, 48)
         far = positional_code(0, 2, 9, 48)
         assert base @ near > base @ far
+
+
+class TestPositionalTable:
+    @pytest.mark.parametrize("shape", [(1, 3, 3, 4), (3, 4, 5, 6),
+                                       (8, 7, 7, 48), (2, 14, 14, 56)])
+    def test_entries_match_positional_code(self, shape):
+        table = positional_table(*shape)
+        frames, height, width, dim = shape
+        assert table.shape == shape and table.dtype == np.float32
+        for frame in range(frames):
+            for row in range(height):
+                for col in range(width):
+                    assert (table[frame, row, col].tobytes()
+                            == positional_code(frame, row, col,
+                                               dim).tobytes())
+
+    def test_memoized_read_only(self):
+        table = positional_table(2, 3, 4, 12)
+        assert positional_table(2, 3, 4, 12) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 1.0
+
+    def test_import_builds_no_table(self):
+        """Tables are built on first render, not at import: a fresh
+        interpreter loading the program pays nothing for them."""
+        import repro
+
+        code = (
+            "import repro, repro.cli, repro.eval.experiments, "
+            "repro.eval.reporting, repro.serve.server, repro.workloads\n"
+            "from repro.model.embedding import positional_table\n"
+            "assert positional_table.cache_info().currsize == 0\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=120)

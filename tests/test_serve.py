@@ -13,6 +13,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import pathlib
+import re
+import signal
+import subprocess
+import sys
 import time
 from contextlib import asynccontextmanager
 
@@ -904,3 +910,142 @@ class TestServedRealExperiment:
         assert result["experiments"]["fig13"] == (
             offline_reports["fig13"]
         )
+
+
+def _children(pid: int) -> list[int]:
+    """Live (non-zombie) child pids of ``pid``, from ``/proc``."""
+    kids = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    try:
+        fields = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return fields.rpartition(")")[2].split()[0] != "Z"
+
+
+def _http(port: int, method: str, path: str, body=None) -> tuple[int, dict]:
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request(method, path,
+                     body=None if body is None else json.dumps(body))
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        conn.close()
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(),
+                    reason="needs /proc to list child processes")
+class TestSignalShutdown:
+    """``repro serve --workers 2`` in a subprocess: its pool workers
+    die with it on SIGINT/SIGTERM, and a job timeout reclaims a hung
+    worker without taking the server down."""
+
+    @pytest.fixture
+    def server(self):
+        import repro
+
+        procs: list[subprocess.Popen] = []
+        workers: set[int] = set()  # every worker pid seen, for asserts
+
+        def start(*flags: str, fault_plan: str | None = None):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+            env.pop("REPRO_FAULT_PLAN", None)
+            if fault_plan is not None:
+                env["REPRO_FAULT_PLAN"] = fault_plan
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                 "--no-store", "--workers", "2", *flags],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                text=True, start_new_session=True,
+            )
+            procs.append(proc)
+            deadline = time.time() + 60
+            port = None
+            while port is None and time.time() < deadline:
+                line = proc.stderr.readline()
+                if not line:
+                    break
+                match = re.search(r"listening on http://[^:]+:(\d+)", line)
+                port = int(match.group(1)) if match else None
+            assert port is not None, "server did not start"
+            workers.update(_children(proc.pid))
+            return proc, port
+
+        def track() -> list[int]:
+            for proc in procs:
+                workers.update(_children(proc.pid))
+            return sorted(workers)
+
+        start.track = track
+        yield start
+        for proc in procs:
+            # The session holds the server and every worker it forked,
+            # orphans of a server that died early included.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)
+            proc.stderr.close()
+
+    @staticmethod
+    def _stop_and_reap(proc: subprocess.Popen, signum: int,
+                       workers: list[int]) -> None:
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == 0
+        deadline = time.time() + 5
+        while any(map(_alive, workers)) and time.time() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_signal_reaps_pool_workers(self, server, signum):
+        proc, _ = server()
+        workers = server.track()
+        assert len(workers) >= 2, "pool workers were not forked"
+        self._stop_and_reap(proc, signum, workers)
+
+    def test_job_timeout_reclaims_worker_and_server_survives(self, server):
+        # Every first attempt hangs; the 3 s timeout reclaims the hung
+        # worker and the retry (fig13 is one ~1 s job) finishes the run.
+        proc, port = server("--job-timeout", "3", "--retries", "1",
+                            fault_plan="*@1:sleep=120")
+        hung = server.track()
+        assert len(hung) >= 2, "pool workers were not forked"
+        status, body = _http(port, "POST", "/runs",
+                             {"experiments": ["fig13"], "samples": 1})
+        assert status == 201
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            assert proc.poll() is None, "a job timeout stopped the server"
+            status, run = _http(port, "GET", f"/runs/{body['run_id']}")
+            if run["status"] != "running":
+                break
+            time.sleep(0.2)
+        assert run["status"] == "done", run
+        deadline = time.time() + 5
+        while any(map(_alive, hung)) and time.time() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in hung if _alive(pid)], (
+            "the timeout did not reclaim the hung worker"
+        )
+        time.sleep(0.5)  # a stray wakeup byte would have landed by now
+        assert proc.poll() is None
+        assert _http(port, "GET", "/healthz")[0] == 200
+        self._stop_and_reap(proc, signal.SIGTERM, server.track())
