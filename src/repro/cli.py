@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="on-disk result cache directory (reused across runs)",
     )
     parser.add_argument(
-        "--cache-max-mb", type=float, default=None,
+        "--cache-max-mb", type=nonnegative_float, default=None,
         help="LRU-prune the disk cache to at most this many megabytes",
     )
     parser.add_argument(

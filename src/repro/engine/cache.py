@@ -7,8 +7,6 @@ there is no invalidation logic, only keys that were never written.
 
 The memory tier makes any evaluation compute at most once per process;
 the disk tier (``cache_dir``) extends that across CLI invocations.
-Disk writes are atomic (temp file + rename) so a crashed run can never
-leave a truncated entry that poisons a later one.
 
 The optional **remote tier** (``remote``, a :class:`repro.remote.
 client.RemoteCacheClient` or anything duck-typing its
@@ -23,15 +21,22 @@ never unpickled.  :meth:`ResultCache.prefetch` batches one
 ``POST /cache/manifest`` existence check for a whole schedule so
 known-absent jobs skip the per-job round-trip entirely.
 
-The disk tier can be LRU size-capped (``max_disk_bytes``, the CLI's
-``--cache-max-mb``): every disk hit refreshes the entry's mtime as a
-``last_used`` stamp, and writes that push the tier over the cap prune
+Both the disk tier and ``repro cache-server`` store objects through one
+:class:`ObjectStore` (one ``{job_id}.pkl`` file per object), and every
+payload becomes bytes through one codec (:func:`encode_payload` /
+:func:`decode_payload`, with :func:`payload_digest` as its checksum),
+so a ``--cache-dir`` *is* a valid cache-server store.  This module is
+the only one that imports :mod:`pickle`.
+
+The store can be LRU size-capped (``max_disk_bytes``, the CLI's
+``--cache-max-mb``): every hit refreshes the entry's mtime as a
+``last_used`` stamp, and writes that push the store over the cap prune
 least-recently-used entries until it fits again (down to
-:attr:`ResultCache.PRUNE_HEADROOM` of the cap, riding on an O(1)
+:attr:`ObjectStore.PRUNE_HEADROOM` of the cap, riding on an O(1)
 running byte total).  The memory tier is never pruned.  A concurrent
 pruner (another process sharing the directory) may delete an entry
-mid-hit — between the read and the ``last_used`` touch; the lookup
-then counts as a miss rather than resurrecting an evicted entry.
+mid-hit — between the read and the ``last_used`` touch; the store then
+reports the entry absent rather than resurrecting an evicted entry.
 
 :class:`CacheStats` counts every lookup per job *kind* as well as in
 total (``hits_by_kind`` / ``misses_by_kind``), so sharded traffic is
@@ -46,6 +51,7 @@ concurrent batches against a single :class:`ResultCache`).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import queue
@@ -60,6 +66,161 @@ from repro.engine.jobs import EvalJob
 MISS = object()
 """Sentinel returned by :meth:`ResultCache.get` on a miss (payloads may
 legitimately be falsy)."""
+
+
+def encode_payload(payload: Any) -> bytes:
+    """A payload's canonical bytes: what every tier stores and ships."""
+    return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+
+
+def decode_payload(data: bytes) -> Any:
+    """Inverse of :func:`encode_payload` (callers verify digests first)."""
+    return pickle.loads(data)
+
+
+def payload_digest(data: bytes) -> str:
+    """The sha256 hex digest carried alongside every stored object."""
+    return hashlib.sha256(data).hexdigest()
+
+
+class ObjectStore:
+    """Directory-backed content-addressed object storage.
+
+    One ``{job_id}.pkl`` file per object, written atomically (temp file
+    + rename) so a crashed writer never leaves a truncated entry, with
+    an optional LRU size cap (``max_bytes``) kept on a running byte
+    total.  Thread-safe: one lock guards the running total.
+    """
+
+    PRUNE_HEADROOM = 0.9
+    """Prune down to this fraction of the cap, so a saturated store
+    absorbs a batch of writes before the next directory scan."""
+
+    def __init__(
+        self, root: str | os.PathLike, max_bytes: int | None = None,
+    ) -> None:
+        self.root = Path(root)
+        if max_bytes is not None and max_bytes < 0:
+            raise ValueError("max_bytes must be >= 0")
+        self.max_bytes = max_bytes
+        self._lock = threading.Lock()
+        self._usage: int | None = None  # lazy running total
+        self.evictions = 0
+
+    def _path(self, job_id: str) -> Path:
+        return self.root / f"{job_id}.pkl"
+
+    def get(self, job_id: str) -> bytes | None:
+        """The object's bytes (refreshing its ``last_used`` stamp), or
+        ``None`` when absent."""
+        path = self._path(job_id)
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        try:
+            os.utime(path)  # refresh the last_used stamp
+        except FileNotFoundError:
+            # A concurrent pruner (another process, or a sibling store
+            # on the same directory) deleted the entry between the
+            # read and the touch.  Honor the eviction instead of
+            # serving a deliberately dropped entry, and rescan lazily:
+            # the running total no longer matches the directory.
+            with self._lock:
+                self._usage = None
+            return None
+        except OSError:
+            pass
+        return data
+
+    def head(self, job_id: str) -> int | None:
+        """The object's size, or ``None`` when absent."""
+        try:
+            return self._path(job_id).stat().st_size
+        except OSError:
+            return None
+
+    def put(self, job_id: str, data: bytes) -> int:
+        """Atomically store an object; returns the entries the write
+        evicted to stay under the cap."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        old_size = self.head(job_id) or 0
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, self._path(job_id))
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        with self._lock:
+            if self._usage is not None:
+                self._usage += len(data) - old_size
+        return self.prune()
+
+    def discard(self, job_id: str) -> None:
+        """Drop one object (e.g. an unreadable entry)."""
+        size = self.head(job_id)
+        self._path(job_id).unlink(missing_ok=True)
+        with self._lock:
+            if self._usage is not None and size is not None:
+                self._usage = max(0, self._usage - size)
+
+    def present(self, job_ids: Iterable[str]) -> list[str]:
+        return [job_id for job_id in job_ids
+                if self.head(job_id) is not None]
+
+    def _entries(self) -> list[tuple[Path, float, int]]:
+        """Objects as ``(path, last_used_mtime, size)`` tuples."""
+        entries = []
+        for path in self.root.glob("*.pkl"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # concurrently evicted by another process
+            entries.append((path, stat.st_mtime, stat.st_size))
+        return entries
+
+    def usage_bytes(self) -> int:
+        """Total size of the stored objects (running total)."""
+        with self._lock:
+            if self._usage is None:
+                if not self.root.is_dir():
+                    return 0
+                self._usage = sum(size for _, _, size in self._entries())
+            return self._usage
+
+    def object_count(self) -> int:
+        return len(self._entries()) if self.root.is_dir() else 0
+
+    def prune(self) -> int:
+        """Evict LRU objects until the store fits ``max_bytes``.
+
+        Objects are ranked by mtime, the ``last_used`` stamp every hit
+        refreshes.  The under-cap check rides on the running total, so
+        writes are O(1) until the cap is hit; only an actual prune
+        scans the directory, and it evicts down to
+        :attr:`PRUNE_HEADROOM` of the cap to keep scans rare at
+        saturation.  Returns the number of objects evicted.
+        """
+        if self.max_bytes is None or not self.root.is_dir():
+            return 0
+        if self.usage_bytes() <= self.max_bytes:
+            return 0
+        with self._lock:
+            entries = self._entries()
+            total = sum(size for _, _, size in entries)
+            target = int(self.max_bytes * self.PRUNE_HEADROOM)
+            evicted = 0
+            for path, _, size in sorted(entries, key=lambda e: e[1]):
+                if total <= target:
+                    break
+                path.unlink(missing_ok=True)
+                total -= size
+                evicted += 1
+            self._usage = total
+            self.evictions += evicted
+            return evicted
 
 
 class Counters:
@@ -164,11 +325,13 @@ class ResultCache:
     """Tiered (memory → disk → remote) content-addressed result cache.
 
     Args:
-        cache_dir: Directory for the disk tier; ``None`` keeps the
-            cache memory-only.  Created on first write.
+        cache_dir: Directory for the disk tier, held as :attr:`disk`
+            (an :class:`ObjectStore`); ``None`` keeps the cache
+            memory-only.  Created on first write.
         enabled: When ``False`` every lookup misses and nothing is
             stored (the CLI's ``--no-cache``).
-        max_disk_bytes: Size cap for the disk tier.  Writes that push
+        max_disk_bytes: Size cap for the disk tier (its
+            :class:`ObjectStore`'s ``max_bytes``).  Writes that push
             the tier over the cap evict least-recently-*used* entries
             (disk hits refresh an entry's mtime) until it fits again;
             ``None`` leaves the tier unbounded.
@@ -186,15 +349,16 @@ class ResultCache:
         max_disk_bytes: int | None = None,
         remote: Any | None = None,
     ) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.enabled = enabled
         if max_disk_bytes is not None and max_disk_bytes < 0:
             raise ValueError("max_disk_bytes must be >= 0")
-        self.max_disk_bytes = max_disk_bytes
+        self.disk = (
+            ObjectStore(cache_dir, max_bytes=max_disk_bytes)
+            if cache_dir is not None else None
+        )
         self.remote = remote
         self.stats = CacheStats()
         self._memory: dict[str, Any] = {}
-        self._disk_usage: int | None = None  # running total; lazy init
         self._lock = threading.RLock()
         # Remote-tier state: manifest knowledge (True = present, False
         # = known absent → skip the GET) and the write-behind queue of
@@ -204,9 +368,15 @@ class ResultCache:
         self._publish_queue: queue.Queue | None = None
         self._publish_thread: threading.Thread | None = None
 
-    def _path(self, job: EvalJob) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{job.job_id}.pkl"
+    @property
+    def max_disk_bytes(self) -> int | None:
+        """The disk tier's size cap (``None`` when uncapped or absent)."""
+        return self.disk.max_bytes if self.disk is not None else None
+
+    @max_disk_bytes.setter
+    def max_disk_bytes(self, value: int | None) -> None:
+        if self.disk is not None:
+            self.disk.max_bytes = value
 
     def get(self, job: EvalJob) -> Any:
         """Return the cached payload for ``job`` or :data:`MISS`."""
@@ -230,38 +400,19 @@ class ResultCache:
             self.stats._note(job.kind, hit=True)
             self.stats.memory_hits += 1
             return payload, "memory"
-        if self.cache_dir is not None:
-            path = self._path(job)
-            if path.exists():
-                try:
-                    with path.open("rb") as fh:
-                        payload = pickle.load(fh)
-                except (OSError, pickle.UnpicklingError, EOFError,
-                        AttributeError, ImportError):
-                    # Unreadable entry: drop it and recompute.
-                    self._note_removed(path)
-                    path.unlink(missing_ok=True)
-                else:
-                    try:
-                        os.utime(path)  # refresh the last_used stamp
-                    except FileNotFoundError:
-                        # A concurrent pruner (another process, or the
-                        # LRU eviction of a sibling cache on the same
-                        # directory) deleted the entry between the
-                        # read and the touch.  Honor the eviction:
-                        # treat the lookup as a miss instead of
-                        # resurrecting a deliberately dropped entry,
-                        # and rescan the tier lazily — the running
-                        # byte total no longer matches the directory.
-                        self._disk_usage = None
-                        self.stats._note(job.kind, hit=False)
-                        return MISS, None
-                    except OSError:
-                        pass
-                    self._memory[job.job_id] = payload
-                    self.stats._note(job.kind, hit=True)
-                    self.stats.disk_hits += 1
-                    return payload, "disk"
+        data = self.disk.get(job.job_id) if self.disk is not None else None
+        if data is not None:
+            try:
+                payload = decode_payload(data)
+            except (pickle.UnpicklingError, EOFError, AttributeError,
+                    ImportError):
+                # Unreadable entry: drop it and recompute.
+                self.disk.discard(job.job_id)
+            else:
+                self._memory[job.job_id] = payload
+                self.stats._note(job.kind, hit=True)
+                self.stats.disk_hits += 1
+                return payload, "disk"
         payload = self._remote_lookup(job)
         if payload is not MISS:
             self.stats._note(job.kind, hit=True)
@@ -296,17 +447,17 @@ class ResultCache:
             self._remote_known[job.job_id] = False
             return MISS
         try:
-            payload = pickle.loads(data)
+            payload = decode_payload(data)
         except Exception:
             self.stats.remote_errors += 1
             self._remote_known[job.job_id] = False
             return MISS
         self._remote_known.pop(job.job_id, None)
         self._memory[job.job_id] = payload
-        if self.cache_dir is not None:
+        if self.disk is not None:
             # Back-fill the disk tier with the exact received bytes so
             # all three tiers hold identical canonical entries.
-            self._write_disk(job, data)
+            self.stats.disk_evictions += self.disk.put(job.job_id, data)
         return payload
 
     def put(
@@ -330,35 +481,13 @@ class ResultCache:
         self._memory[job.job_id] = payload
         self.stats.stores += 1
         data: bytes | None = None
-        if self.cache_dir is not None or (
-            publish and self.remote is not None
-        ):
-            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        if self.cache_dir is not None:
-            self._write_disk(job, data)
+        if self.disk is not None or (publish and self.remote is not None):
+            data = encode_payload(payload)
+        if self.disk is not None:
+            self.stats.disk_evictions += self.disk.put(job.job_id, data)
         if publish and self.remote is not None:
             self._remote_known.pop(job.job_id, None)
             self._enqueue_publish(job.job_id, data)
-
-    def _write_disk(self, job: EvalJob, data: bytes) -> None:
-        """Atomically write one entry's canonical bytes to disk."""
-        assert self.cache_dir is not None
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.cache_dir, suffix=".tmp"
-        )
-        path = self._path(job)
-        old_size = self._entry_size(path)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        if self._disk_usage is not None:
-            self._disk_usage += self._entry_size(path) - old_size
-        self.prune_disk()
 
     # -- remote tier --------------------------------------------------
 
@@ -416,8 +545,8 @@ class ResultCache:
                 if job.job_id in self._remote_known:
                     continue
                 if (
-                    self.cache_dir is not None
-                    and self._path(job).exists()
+                    self.disk is not None
+                    and self.disk.head(job.job_id) is not None
                 ):
                     continue
                 wanted.setdefault(job.job_id, None)
@@ -434,85 +563,20 @@ class ResultCache:
                 self._remote_known[job_id] = job_id in present
         return len(present & set(wanted))
 
-    @staticmethod
-    def _entry_size(path: Path) -> int:
-        try:
-            return path.stat().st_size
-        except OSError:
-            return 0
-
-    def _note_removed(self, path: Path) -> None:
-        """Keep the running total current when an entry is dropped."""
-        if self._disk_usage is not None:
-            self._disk_usage = max(
-                0, self._disk_usage - self._entry_size(path)
-            )
-
     def disk_usage_bytes(self) -> int:
         """Total size of the disk tier's entries (running total)."""
-        if self.cache_dir is None:
-            return 0
-        if self._disk_usage is None:
-            if not self.cache_dir.is_dir():
-                return 0
-            self._disk_usage = sum(
-                size for _, _, size in self._disk_entries()
-            )
-        return self._disk_usage
-
-    def _disk_entries(self) -> list[tuple[Path, float, int]]:
-        """Disk entries as ``(path, last_used_mtime, size)`` tuples."""
-        assert self.cache_dir is not None
-        entries = []
-        for path in self.cache_dir.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # concurrently evicted by another process
-            entries.append((path, stat.st_mtime, stat.st_size))
-        return entries
-
-    PRUNE_HEADROOM = 0.9
-    """Prune down to this fraction of the cap, so a saturated cache
-    absorbs a batch of writes before the next directory scan."""
+        return self.disk.usage_bytes() if self.disk is not None else 0
 
     def prune_disk(self) -> int:
-        """Evict LRU disk entries until the tier fits ``max_disk_bytes``.
-
-        Entries are ranked by mtime, which doubles as the ``last_used``
-        stamp (refreshed on every disk hit).  The memory tier is
-        untouched — an evicted entry already loaded this session stays
-        hot.  Returns the number of entries evicted.
-
-        The under-cap check rides on a running byte total, so puts are
-        O(1) until the cap is hit; only an actual prune scans the
-        directory (and evicts down to :attr:`PRUNE_HEADROOM` of the
-        cap, not just below it, to keep scans rare at saturation).
-        """
-        if (
-            self.max_disk_bytes is None
-            or self.cache_dir is None
-            or not self.cache_dir.is_dir()
-        ):
+        """Evict LRU disk entries until the tier fits ``max_disk_bytes``
+        (see :meth:`ObjectStore.prune`).  The memory tier is untouched
+        — an evicted entry already loaded this session stays hot.
+        Returns the number of entries evicted."""
+        if self.disk is None:
             return 0
         with self._lock:
-            return self._prune_disk_locked()
-
-    def _prune_disk_locked(self) -> int:
-        if self.disk_usage_bytes() <= self.max_disk_bytes:
-            return 0
-        entries = self._disk_entries()
-        total = sum(size for _, _, size in entries)
-        target = int(self.max_disk_bytes * self.PRUNE_HEADROOM)
-        evicted = 0
-        for path, _, size in sorted(entries, key=lambda e: e[1]):
-            if total <= target:
-                break
-            path.unlink(missing_ok=True)
-            total -= size
-            evicted += 1
-        self._disk_usage = total
-        self.stats.disk_evictions += evicted
+            evicted = self.disk.prune()
+            self.stats.disk_evictions += evicted
         return evicted
 
     def clear_memory(self) -> None:

@@ -878,17 +878,7 @@ class ExperimentEngine:
 
         leftovers: list[_JobState] = []
         for state in states:
-            entry = entries.get(state.job.job_id)
-            payload: Any = MISS
-            if (
-                isinstance(entry, tuple) and len(entry) == 3
-                and entry[0] == "ok"
-                and protocol.payload_digest(entry[2]) == entry[1]
-            ):
-                try:
-                    payload = protocol.decode_payload(entry[2])
-                except Exception:
-                    pass
+            payload = protocol.unpack_ok_entry(entries.get(state.job.job_id))
             if payload is MISS:
                 # Missing entry, job-level failure, or corrupt bytes:
                 # local execution is the authoritative fallback for

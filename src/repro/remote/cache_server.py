@@ -1,11 +1,13 @@
 """``repro cache-server``: a content-addressed HTTP object store.
 
-The fleet's shared result namespace.  Objects are the canonical
-payload bytes of :mod:`repro.remote.protocol`, keyed by job id, laid
-out on disk exactly like a :class:`~repro.engine.cache.ResultCache`
-disk tier (one ``{job_id}.pkl`` per object, atomic tmp-file + rename
-writes) — pointing a cache server at an existing ``--cache-dir``
-publishes it to the fleet as-is.
+The fleet's shared result namespace: HTTP routing and the CLI over
+:class:`~repro.engine.cache.ObjectStore`, the same class (and so the
+same ``{job_id}.pkl`` layout, atomic writes and LRU cap) that backs a
+:class:`~repro.engine.cache.ResultCache` disk tier.  Objects are the
+canonical bytes of the one payload codec
+(:func:`~repro.engine.cache.encode_payload`), keyed by job id, so
+pointing a cache server at an existing ``--cache-dir`` publishes it to
+the fleet as-is.
 
 Routes:
 
@@ -26,11 +28,12 @@ Routes:
 ``GET /healthz``
     Liveness plus object count and byte total.
 
-Storage is size-capped like the disk cache tier (``--max-mb``):
-least-recently-used objects (GET refreshes mtime) are pruned when a
-write pushes the store over the cap.  The server is single-process
-asyncio over the shared plumbing in :mod:`repro.serve.http`; storage
-calls are cheap local file I/O performed inline.
+Storage is size-capped exactly like the disk cache tier
+(``--max-mb``): least-recently-used objects (GET refreshes mtime) are
+pruned when a write pushes the store over the cap.  The server is
+single-process asyncio over the shared plumbing in
+:mod:`repro.serve.http`; storage calls are cheap local file I/O
+performed inline.
 """
 
 from __future__ import annotations
@@ -40,16 +43,14 @@ import asyncio
 import json
 import os
 import sys
-import tempfile
 import threading
-from pathlib import Path
-from typing import Iterable
 from urllib.parse import urlsplit
 
+from repro.engine.cache import ObjectStore
 from repro.remote import protocol
 from repro.serve.http import (
     HttpError,
-    read_request,
+    handle_client,
     respond_bytes,
     respond_json,
 )
@@ -57,115 +58,6 @@ from repro.serve.http import (
 DEFAULT_PORT = 8378
 MAX_OBJECT_BYTES = 1 << 30
 """Upload ceiling (1 GiB): rejects runaway bodies before buffering."""
-
-PRUNE_HEADROOM = 0.9
-"""Prune down to this fraction of the cap (mirrors the disk tier)."""
-
-
-class ObjectStore:
-    """Directory-backed content-addressed object storage.
-
-    Thread-safe (one lock around the running byte total) although the
-    asyncio server drives it from a single thread; tests and embedded
-    uses may not.
-    """
-
-    def __init__(
-        self, root: str | os.PathLike, max_bytes: int | None = None,
-    ) -> None:
-        self.root = Path(root)
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0")
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._usage: int | None = None  # lazy running total
-        self.evictions = 0
-
-    def _path(self, job_id: str) -> Path:
-        return self.root / f"{job_id}.pkl"
-
-    def get(self, job_id: str) -> bytes | None:
-        path = self._path(job_id)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            os.utime(path)  # refresh the last_used stamp
-        except OSError:
-            pass
-        return data
-
-    def head(self, job_id: str) -> int | None:
-        """The object's size, or ``None`` when absent."""
-        try:
-            return self._path(job_id).stat().st_size
-        except OSError:
-            return None
-
-    def put(self, job_id: str, data: bytes) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        path = self._path(job_id)
-        old_size = self.head(job_id) or 0
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        with self._lock:
-            if self._usage is not None:
-                self._usage += len(data) - old_size
-        self.prune()
-
-    def present(self, job_ids: Iterable[str]) -> list[str]:
-        return [job_id for job_id in job_ids
-                if self.head(job_id) is not None]
-
-    def _entries(self) -> list[tuple[Path, float, int]]:
-        entries = []
-        for path in self.root.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((path, stat.st_mtime, stat.st_size))
-        return entries
-
-    def usage_bytes(self) -> int:
-        with self._lock:
-            if self._usage is None:
-                self._usage = (
-                    sum(size for _, _, size in self._entries())
-                    if self.root.is_dir() else 0
-                )
-            return self._usage
-
-    def object_count(self) -> int:
-        return len(self._entries()) if self.root.is_dir() else 0
-
-    def prune(self) -> int:
-        """Evict LRU objects until the store fits ``max_bytes``."""
-        if self.max_bytes is None or not self.root.is_dir():
-            return 0
-        if self.usage_bytes() <= self.max_bytes:
-            return 0
-        with self._lock:
-            entries = self._entries()
-            total = sum(size for _, _, size in entries)
-            target = int(self.max_bytes * PRUNE_HEADROOM)
-            evicted = 0
-            for path, _, size in sorted(entries, key=lambda e: e[1]):
-                if total <= target:
-                    break
-                path.unlink(missing_ok=True)
-                total -= size
-                evicted += 1
-            self._usage = total
-            self.evictions += evicted
-            return evicted
 
 
 class CacheServerApp:
@@ -177,38 +69,9 @@ class CacheServerApp:
     async def handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            try:
-                request = await read_request(
-                    reader, max_body=MAX_OBJECT_BYTES
-                )
-            except HttpError as exc:
-                await respond_json(
-                    writer, exc.status, {"error": exc.message}
-                )
-                return
-            if request is None:
-                return
-            method, target, headers, body = request
-            try:
-                await self._route(method, target, headers, body, writer)
-            except HttpError as exc:
-                await respond_json(
-                    writer, exc.status, {"error": exc.message}
-                )
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            except Exception as exc:
-                await respond_json(
-                    writer, 500,
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                )
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+        """One connection, one request (see :func:`repro.serve.http.
+        handle_client`)."""
+        await handle_client(reader, writer, self._route, MAX_OBJECT_BYTES)
 
     async def _route(
         self, method: str, target: str, headers: dict[str, str],
@@ -389,6 +252,8 @@ class BackgroundCacheServer:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.cli import nonnegative_float  # no cycle: cli loads us lazily
+
     parser = argparse.ArgumentParser(
         prog="repro.cli cache-server",
         description="Serve a content-addressed result-cache object "
@@ -403,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="object storage directory (default: "
                              "repro-remote-cache; a ResultCache "
                              "--cache-dir works as-is)")
-    parser.add_argument("--max-mb", type=float, default=None,
+    parser.add_argument("--max-mb", type=nonnegative_float, default=None,
                         help="LRU size cap for the store, in megabytes")
     return parser
 

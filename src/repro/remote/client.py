@@ -1,11 +1,12 @@
-"""Blocking HTTP client for the remote cache tier.
+"""Blocking HTTP clients for the remote cache tier and fleet peers.
 
-:class:`RemoteCacheClient` is what a :class:`~repro.engine.cache.
-ResultCache` mounts as its third tier.  It is deliberately boring:
-``http.client`` over one-shot connections (the servers close after
-every response anyway), a lock around the failure bookkeeping, and a
-cooldown that marks a flaky server *down* so a dead cache tier costs
-one timeout — not one timeout per job.
+:class:`ServiceClient` is the base both clients share, deliberately
+boring: ``http.client`` over one-shot connections (the servers close
+after every response anyway), a lock around the failure bookkeeping,
+and a cooldown that marks a flaky service *down* so a dead one costs
+one timeout — not one timeout per job.  :class:`RemoteCacheClient` is
+what a :class:`~repro.engine.cache.ResultCache` mounts as its third
+tier; :class:`~repro.remote.dispatch.PeerClient` ships job batches.
 
 Every ``get`` verifies the body's sha256 against the
 ``X-Repro-Sha256`` header before returning it; a mismatch counts as a
@@ -24,15 +25,6 @@ from urllib.parse import urlsplit
 
 from repro.remote import protocol
 
-DEFAULT_TIMEOUT = 5.0
-"""Per-request socket timeout (seconds)."""
-
-DOWN_AFTER_FAILURES = 3
-"""Consecutive transport failures before the server is marked down."""
-
-DOWN_COOLDOWN = 30.0
-"""Seconds to sit out before probing a down server again."""
-
 
 class RemoteCacheError(Exception):
     """Transport-level failure talking to the cache server."""
@@ -42,49 +34,58 @@ class RemoteCacheVerificationError(RemoteCacheError):
     """A fetched object failed sha256 verification — never unpickled."""
 
 
-class RemoteCacheClient:
-    """Thread-safe client for one cache server.
+class ServiceClient:
+    """What both fleet clients share: a validated ``http://host:port``
+    base URL, one-shot ``http.client`` requests, and a failure counter
+    that marks the service *down* for a cooldown.
 
-    All methods are non-raising in the hot path: transport failures
-    surface as ``None``/``False``/empty results and feed the
-    down-marking heuristic; only a malformed ``base_url`` raises, at
-    construction time, where argparse validation wants it.
+    Subclasses set the class constants: ``SERVICE`` (names the URL in
+    errors), ``UNREACHABLE`` (the exception transport trouble raises),
+    ``TIMEOUT`` (default per-request seconds),
+    ``DOWN_AFTER_FAILURES`` and ``DOWN_COOLDOWN`` (seconds).
     """
 
-    def __init__(
-        self, base_url: str, timeout: float = DEFAULT_TIMEOUT,
-    ) -> None:
+    SERVICE: str
+    UNREACHABLE: type[Exception]
+    TIMEOUT: float
+    DOWN_AFTER_FAILURES: int
+    DOWN_COOLDOWN: float
+
+    def __init__(self, base_url: str, timeout: float | None = None) -> None:
         parts = urlsplit(base_url)
         if parts.scheme != "http" or not parts.hostname:
             raise ValueError(
-                f"remote cache URL must look like http://host:port, "
+                f"{self.SERVICE} URL must look like http://host:port, "
                 f"got {base_url!r}"
             )
         self.base_url = base_url.rstrip("/")
         self.host = parts.hostname
         self.port = parts.port or 80
-        self.timeout = timeout
+        self.timeout = self.TIMEOUT if timeout is None else timeout
         self._lock = threading.Lock()
         self._failures = 0
         self._down_until = 0.0
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.base_url!r})"
+
     # -- availability -------------------------------------------------
 
     def available(self) -> bool:
-        """False while the server is sitting out a cooldown."""
+        """False while the service is sitting out a cooldown."""
         with self._lock:
             return time.monotonic() >= self._down_until
 
-    def _note_success(self) -> None:
+    def note_success(self) -> None:
         with self._lock:
             self._failures = 0
             self._down_until = 0.0
 
-    def _note_failure(self) -> None:
+    def note_failure(self) -> None:
         with self._lock:
             self._failures += 1
-            if self._failures >= DOWN_AFTER_FAILURES:
-                self._down_until = time.monotonic() + DOWN_COOLDOWN
+            if self._failures >= self.DOWN_AFTER_FAILURES:
+                self._down_until = time.monotonic() + self.DOWN_COOLDOWN
                 self._failures = 0
 
     # -- request core -------------------------------------------------
@@ -92,11 +93,14 @@ class RemoteCacheClient:
     def _request(
         self, method: str, path: str, body: bytes | None = None,
         headers: dict[str, str] | None = None,
+        timeout: float | None = None,
     ) -> tuple[int, dict[str, str], bytes]:
-        """One request; raises :class:`RemoteCacheError` on transport
-        trouble (and notes it for the down heuristic)."""
+        """One request on a fresh connection: ``(status, lower-cased
+        headers, body)``.  Transport trouble is noted for the down
+        heuristic and raised as :attr:`UNREACHABLE`."""
         conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+            self.host, self.port,
+            timeout=self.timeout if timeout is None else timeout,
         )
         try:
             conn.request(method, path, body=body, headers=headers or {})
@@ -106,16 +110,37 @@ class RemoteCacheClient:
                 name.lower(): value
                 for name, value in response.getheaders()
             }
-            self._note_success()
             return response.status, out_headers, data
         except (OSError, http.client.HTTPException) as exc:
-            self._note_failure()
-            raise RemoteCacheError(
+            self.note_failure()
+            raise self.UNREACHABLE(
                 f"{method} {self.base_url}{path}: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
         finally:
             conn.close()
+
+
+class RemoteCacheClient(ServiceClient):
+    """Thread-safe client for one cache server.
+
+    All methods are non-raising in the hot path: transport failures
+    surface as ``None``/``False``/empty results and feed the
+    down-marking heuristic; only a malformed ``base_url`` raises, at
+    construction time, where argparse validation wants it.
+    """
+
+    SERVICE = "remote cache"
+    UNREACHABLE = RemoteCacheError
+    TIMEOUT = 5.0
+    DOWN_AFTER_FAILURES = 3
+    DOWN_COOLDOWN = 30.0
+
+    def _request(self, *args, **kwargs) -> tuple[int, dict[str, str], bytes]:
+        """Any answer, even a 404, proves the server is reachable."""
+        answer = super()._request(*args, **kwargs)
+        self.note_success()
+        return answer
 
     # -- cache operations ---------------------------------------------
 
@@ -175,9 +200,11 @@ class RemoteCacheClient:
     def manifest(self, job_ids: Iterable[str]) -> set[str] | None:
         """Batched existence check; ``None`` when the server can't
         answer (callers fall back to per-job GET attempts)."""
+        if not self.available():
+            return None
         ids = list(job_ids)
-        if not ids or not self.available():
-            return None if not self.available() else set()
+        if not ids:
+            return set()
         body = json.dumps({"job_ids": ids}).encode("utf-8")
         try:
             status, _, data = self._request(

@@ -4,8 +4,9 @@ Both frontends — the experiment server (:mod:`repro.serve.server`) and
 the remote cache object store (:mod:`repro.remote.cache_server`) —
 speak the same deliberately minimal dialect: one request per
 connection, ``Connection: close``, no TLS, no chunked bodies.  This
-module holds the pieces they share: request parsing, response framing,
-and the :class:`HttpError` routed straight to a JSON error response.
+module holds the pieces they share: the per-connection handler
+(:func:`handle_client`), request parsing, response framing, and the
+:class:`HttpError` routed straight to a JSON error response.
 Front either server with a real proxy for anything public.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 STATUS_TEXT = {
     200: "OK", 201: "Created", 202: "Accepted", 204: "No Content",
@@ -30,6 +31,44 @@ class HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+async def handle_client(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+    route: Callable[..., Awaitable[None]], max_body: int,
+) -> None:
+    """One connection, one request (``Connection: close``).
+
+    Parses the request, hands it to ``route(method, target, headers,
+    body, writer)``, answers an :class:`HttpError` (or any other
+    exception, as a 500) with a JSON error, and always closes the
+    connection.  A client that goes away mid-response is ignored:
+    whatever it started keeps going.
+    """
+    try:
+        try:
+            request = await read_request(reader, max_body=max_body)
+        except HttpError as exc:
+            await respond_json(writer, exc.status, {"error": exc.message})
+            return
+        if request is None:
+            return
+        try:
+            await route(*request, writer)
+        except HttpError as exc:
+            await respond_json(writer, exc.status, {"error": exc.message})
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        except Exception as exc:
+            await respond_json(
+                writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
+            )
+    finally:
+        try:
+            writer.close()
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            pass
 
 
 async def read_request(

@@ -75,8 +75,8 @@ from repro.serve.async_engine import (
 )
 from repro.serve.http import (
     HttpError,
+    handle_client,
     header_block,
-    read_request,
     respond_bytes,
     respond_json,
 )
@@ -477,39 +477,9 @@ class ServeApp:
     async def handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection, one request (``Connection: close``)."""
-        try:
-            try:
-                request = await read_request(
-                    reader, max_body=MAX_BODY_BYTES
-                )
-            except HttpError as exc:
-                await respond_json(
-                    writer, exc.status, {"error": exc.message}
-                )
-                return
-            if request is None:
-                return
-            method, target, headers, body = request
-            try:
-                await self._route(method, target, headers, body, writer)
-            except HttpError as exc:
-                await respond_json(
-                    writer, exc.status, {"error": exc.message}
-                )
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # client went away mid-stream; run keeps going
-            except Exception as exc:
-                await respond_json(
-                    writer, 500,
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                )
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+        """One connection, one request (see :func:`repro.serve.http.
+        handle_client`)."""
+        await handle_client(reader, writer, self._route, MAX_BODY_BYTES)
 
     async def _route(
         self, method: str, target: str, headers: dict[str, str],
@@ -629,10 +599,7 @@ class ServeApp:
             if isinstance(value, JobFailure):
                 entries[job.job_id] = ("failed", value.as_detail())
             else:
-                data = protocol.encode_payload(value)
-                entries[job.job_id] = (
-                    "ok", protocol.payload_digest(data), data
-                )
+                entries[job.job_id] = protocol.ok_entry(value)
         await respond_bytes(
             writer, 200, protocol.encode_job_results(entries)
         )
@@ -834,21 +801,6 @@ async def _serve_until_signalled(app: ServeApp, host: str, port: int) -> None:
     await serve(app, host, port)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for flags that must be >= 1 (e.g. ``--ring-size``:
-    a 0-capacity ring would evict every event and leave subscribers
-    nothing but gaps — reject it before a server ever starts)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli serve",
@@ -861,18 +813,19 @@ def build_parser() -> argparse.ArgumentParser:
         nonnegative_int,
         peer_list,
         positive_float,
+        positive_int,
     )
 
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT,
                         help=f"TCP port (default: {DEFAULT_PORT})")
-    parser.add_argument("--workers", type=_positive_int, default=1,
+    parser.add_argument("--workers", type=positive_int, default=1,
                         help="engine worker processes shared by all runs "
                              "(>= 1)")
-    parser.add_argument("--sim-shards", type=_positive_int, default=None,
+    parser.add_argument("--sim-shards", type=positive_int, default=None,
                         help="shards per trace-simulation batch (>= 1)")
-    parser.add_argument("--eval-shards", type=_positive_int, default=None,
+    parser.add_argument("--eval-shards", type=positive_int, default=None,
                         help="samples per evaluation shard (streams "
                              "running partial results; >= 1)")
     parser.add_argument("--retries", type=nonnegative_int, default=0,
@@ -888,7 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "pool; hung jobs are reclaimed and retried")
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk result cache shared by all runs")
-    parser.add_argument("--cache-max-mb", type=float, default=None,
+    parser.add_argument("--cache-max-mb", type=nonnegative_float,
+                        default=None,
                         help="LRU cap for the disk cache tier")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache")
@@ -902,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated repro-serve peer base "
                              "URLs to dispatch job shares to "
                              "(rendezvous-hashed by job id)")
-    parser.add_argument("--ring-size", type=_positive_int,
+    parser.add_argument("--ring-size", type=positive_int,
                         default=DEFAULT_RING_SIZE,
                         help="events retained per run in memory for "
                              "replay/resume (>= 1); the run store "

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main, run_experiment
 from repro.engine.registry import experiment_names
+from repro.remote.cache_server import build_parser as cache_server_parser
+from repro.serve.server import build_parser as serve_parser
 
 
 class TestParser:
@@ -69,6 +71,28 @@ class TestParser:
     def test_fault_options_validated(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "many"])
+    @pytest.mark.parametrize("parse", [
+        lambda value: build_parser().parse_args(
+            ["fig9", "--cache-max-mb", value]),
+        lambda value: serve_parser().parse_args(
+            ["--cache-max-mb", value]),
+        lambda value: cache_server_parser().parse_args(
+            ["--max-mb", value]),
+    ], ids=["repro", "serve", "cache-server"])
+    def test_size_caps_validated(self, parse, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be >= 0" in err or "not a number" in err
+
+    def test_size_caps_accepted(self):
+        assert build_parser().parse_args(
+            ["fig9", "--cache-max-mb", "0.5"]).cache_max_mb == 0.5
+        assert cache_server_parser().parse_args(
+            ["--max-mb", "0"]).max_mb == 0.0
 
     @pytest.mark.parametrize("flag", ["--workers", "--sim-shards"])
     def test_positive_counts_accepted(self, flag):

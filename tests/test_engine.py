@@ -146,7 +146,9 @@ class TestDiskCacheLru:
         for index, job in enumerate(jobs):
             writer.put(job, b"x" * payload_bytes)
             # Deterministic last_used ordering: job i used at base + i.
-            os.utime(writer._path(job), (base + index, base + index))
+            os.utime(
+                writer.disk._path(job.job_id), (base + index, base + index)
+            )
         return writer
 
     def test_put_prunes_oldest_entries(self, tmp_path):
@@ -156,9 +158,9 @@ class TestDiskCacheLru:
         new_job = _job(seed=99)
         cache.put(new_job, b"x" * 2000)
         # ~2KB each under a 5KB cap: only the most recent two survive.
-        assert cache._path(new_job).exists()
-        assert cache._path(jobs[0]).exists() is False
-        assert cache._path(jobs[1]).exists() is False
+        assert cache.disk._path(new_job.job_id).exists()
+        assert cache.disk._path(jobs[0].job_id).exists() is False
+        assert cache.disk._path(jobs[1].job_id).exists() is False
         assert cache.stats.disk_evictions >= 2
         assert cache.disk_usage_bytes() <= 5000
 
@@ -170,15 +172,15 @@ class TestDiskCacheLru:
         assert fresh.get(jobs[0]) is not MISS
         fresh.put(_job(seed=99), b"x" * 2000)
         # jobs[0] was just used, so jobs[1] is now the LRU victim.
-        assert fresh._path(jobs[0]).exists()
-        assert fresh._path(jobs[1]).exists() is False
+        assert fresh.disk._path(jobs[0].job_id).exists()
+        assert fresh.disk._path(jobs[1].job_id).exists() is False
 
     def test_memory_tier_survives_disk_eviction(self, tmp_path):
         jobs = [_job(seed=s) for s in range(3)]
         cache = self._fill(tmp_path, jobs)
         cache.max_disk_bytes = 2500
         assert cache.prune_disk() >= 1
-        assert cache._path(jobs[0]).exists() is False
+        assert cache.disk._path(jobs[0].job_id).exists() is False
         # Evicted from disk, but this session already paid for them.
         assert cache.get(jobs[0]) is not MISS
         assert cache.stats.memory_hits == 1
@@ -215,14 +217,14 @@ class TestDiskCacheLru:
         assert cache.get(job) == "payload"
         # ... and the byte total was invalidated, not left stale.
         assert cache.disk_usage_bytes() == (
-            cache._entry_size(cache._path(job))
+            cache.disk.head(job.job_id)
         )
 
     def test_uncapped_cache_never_prunes(self, tmp_path):
         jobs = [_job(seed=s) for s in range(4)]
         cache = self._fill(tmp_path, jobs)
         assert cache.prune_disk() == 0
-        assert all(cache._path(j).exists() for j in jobs)
+        assert all(cache.disk._path(j.job_id).exists() for j in jobs)
 
     def test_negative_cap_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_disk_bytes"):

@@ -109,6 +109,18 @@ class TestProtocol:
         with pytest.raises(ValueError):
             protocol.decode_jobs(body)
 
+    def test_ok_entry_round_trip_and_rejections(self):
+        entry = protocol.ok_entry({"accuracy": 61.2})
+        assert protocol.unpack_ok_entry(entry) == {"accuracy": 61.2}
+        status, digest, data = entry
+        for bad in [
+            None, ("failed", {"error": "boom"}), ("ok", digest),
+            ("ok", "0" * 64, data), ("ok", digest, data + b"x"),
+            ("ok", protocol.payload_digest(b"junk"), b"junk"),
+            ("ok", digest, "not bytes"),
+        ]:
+            assert protocol.unpack_ok_entry(bad) is MISS
+
     def test_valid_job_id(self):
         assert protocol.valid_job_id(_job().job_id)
         assert not protocol.valid_job_id("deadbeef")
@@ -184,6 +196,43 @@ class TestObjectStore:
         assert store.evictions >= 1
         assert store.usage_bytes() <= 250
 
+    def test_concurrent_prune_mid_get_is_absent(
+        self, tmp_path, monkeypatch
+    ):
+        # A sibling process sharing the directory can prune an object
+        # between the read and the last_used touch; the store must
+        # honor the eviction rather than serve the dropped bytes.
+        import os
+
+        job_id = _job().job_id
+        ObjectStore(tmp_path).put(job_id, b"payload")
+        store = ObjectStore(tmp_path)
+        assert store.usage_bytes() == len(b"payload")
+        real_utime = os.utime
+
+        def racing_utime(path, *args, **kwargs):
+            os.unlink(path)  # the concurrent pruner wins the race
+            return real_utime(path, *args, **kwargs)
+
+        monkeypatch.setattr("os.utime", racing_utime)
+        assert store.get(job_id) is None
+        monkeypatch.undo()
+        # The running total was invalidated, not left stale.
+        assert store.usage_bytes() == 0
+        store.put(job_id, b"again")
+        assert store.get(job_id) == b"again"
+
+    def test_discard_keeps_the_running_total(self, tmp_path):
+        store = ObjectStore(tmp_path)
+        job_ids = [_job(seed=seed).job_id for seed in range(2)]
+        for job_id in job_ids:
+            store.put(job_id, b"x" * 10)
+        assert store.usage_bytes() == 20
+        store.discard(job_ids[0])
+        store.discard(job_ids[0])  # already gone: a no-op
+        assert store.head(job_ids[0]) is None
+        assert store.usage_bytes() == 10
+
 
 class TestCacheServer:
     def test_round_trip_over_http(self, tmp_path):
@@ -198,6 +247,34 @@ class TestCacheServer:
             assert client.head(job_id)
             assert client.get(job_id) == data
             assert client.manifest([job_id, "f" * 32]) == {job_id}
+
+    def test_serves_a_result_cache_directory_as_is(self, tmp_path):
+        # A --cache-dir *is* a valid store: the disk tier and the
+        # server share one ObjectStore class and one payload codec.
+        payloads = {_job(seed=seed): {"accuracy": 50.0 + seed,
+                                      "cells": list(range(seed))}
+                    for seed in range(3)}
+        cache = ResultCache(cache_dir=tmp_path)
+        for job, payload in payloads.items():
+            cache.put(job, payload)
+        with BackgroundCacheServer(tmp_path) as server:
+            client = RemoteCacheClient(server.url)
+            for job, payload in payloads.items():
+                data = client.get(job.job_id)
+                path = tmp_path / f"{job.job_id}.pkl"
+                assert data == path.read_bytes()
+                assert protocol.decode_payload(data) == payload
+            assert client.manifest(
+                [job.job_id for job in payloads]
+            ) == {job.job_id for job in payloads}
+
+    def test_manifest_checks_availability_once(self, monkeypatch):
+        # A cooldown that ends between two availability checks must
+        # not turn "cannot answer" (None) into "nothing is present".
+        client = RemoteCacheClient("http://127.0.0.1:9")
+        answers = iter([False, True])
+        monkeypatch.setattr(client, "available", lambda: next(answers))
+        assert client.manifest([_job().job_id]) is None
 
     def test_rejects_corrupt_upload_and_bad_ids(self, tmp_path):
         with BackgroundCacheServer(tmp_path) as server:
